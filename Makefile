@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench benchdiff vet fmt lint lint-json callgraph chaos crash-demo fuzz-short experiments examples telemetry-demo flow-demo scale-demo fleet-demo clean
+.PHONY: all build test race bench benchdiff vet fmt lint lint-json callgraph chaos crash-demo fuzz-short experiments examples telemetry-demo flow-demo fleet-demo clean
 
 all: build test lint
 
@@ -94,12 +94,6 @@ telemetry-demo:
 # flows expire — the per-flow feature pipeline end to end.
 flow-demo:
 	$(GO) run ./examples/flowexport
-
-# Sharded-ingestion scaling table: sweep shard counts up to NumCPU,
-# scrape each node's live /metrics for delivered packets, drops and
-# batch sizes, and print shards vs throughput (EXPERIMENTS.md "Scaling").
-scale-demo:
-	$(GO) run ./cmd/kalis-bench -exp scale
 
 # Fleet-scale collective: anti-entropy digest gossip vs legacy snapshot
 # push on 1k-10k simulated nodes, with live kalis_collective_* scrapes,

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"net/netip"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -383,71 +382,39 @@ func BenchmarkKalisPerPacket(b *testing.B) {
 	}
 }
 
-// BenchmarkKalisThroughput measures aggregate packets/sec through the
-// sharded ingestion pipeline at 1, 2, 4 and 8 shards on mixed WSN
-// traffic from 64 distinct sources. shards=1 is the synchronous
-// in-line dispatch path (single caller — the sync contract); shards>1
-// enqueues from GOMAXPROCS parallel producers with lossless
-// backpressure and drains before the clock stops, so ns/op covers
-// capture-to-detector delivery of every packet. Scaling beyond 1x
-// needs real cores: on a 1-CPU runner all shard counts collapse to
-// roughly the shards=1 figure plus handoff overhead.
+// BenchmarkKalisThroughput measures packets/sec through the
+// synchronous dispatch path on mixed WSN traffic from 64 distinct
+// sources, after knowledge-driven activation has warmed up.
 func BenchmarkKalisThroughput(b *testing.B) {
-	mkCaps := func(b *testing.B) []*Captured {
-		var caps []*Captured
-		for i := 0; i < 256; i++ {
-			// 64 distinct 802.15.4 sources (2..65) so the shard hash
-			// spreads work; payload varies to defeat trivial dedup.
-			src := uint16(2 + i%64)
-			raw := stack.BuildCTPData(src, 1, src, uint8(i), 0, 10, []byte{0x01, uint8(i)})
-			c, err := stack.Decode(packet.MediumIEEE802154, raw)
-			if err != nil {
-				b.Fatal(err)
-			}
-			c.Time = netsim.Epoch.Add(time.Duration(i) * 10 * time.Millisecond)
-			c.RSSI = -60 - float64(i%4)
-			caps = append(caps, c)
+	var caps []*Captured
+	for i := 0; i < 256; i++ {
+		// 64 distinct 802.15.4 sources (2..65); payload varies to
+		// defeat trivial dedup.
+		src := uint16(2 + i%64)
+		raw := stack.BuildCTPData(src, 1, src, uint8(i), 0, 10, []byte{0x01, uint8(i)})
+		c, err := stack.Decode(packet.MediumIEEE802154, raw)
+		if err != nil {
+			b.Fatal(err)
 		}
-		return caps
+		c.Time = netsim.Epoch.Add(time.Duration(i) * 10 * time.Millisecond)
+		c.RSSI = -60 - float64(i%4)
+		caps = append(caps, c)
 	}
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			node, err := New(WithNodeID("K1"), WithShards(shards), WithIngestBlocking())
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer node.Close()
-			caps := mkCaps(b)
-			// Warm up knowledge-driven activation outside the timer.
-			for i := 0; i < len(caps); i++ {
-				node.HandleCapture(caps[i])
-			}
-			node.DrainIngest()
-			b.ResetTimer()
-			if shards <= 1 {
-				for i := 0; i < b.N; i++ {
-					node.HandleCapture(caps[i%len(caps)])
-				}
-			} else {
-				var next atomic.Uint64
-				b.RunParallel(func(pb *testing.PB) {
-					// Stagger producers across the capture set so the
-					// shard rings see all 64 sources concurrently.
-					i := int(next.Add(1)-1) * 64
-					for pb.Next() {
-						node.HandleCapture(caps[i%len(caps)])
-						i++
-					}
-				})
-				node.DrainIngest()
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pkts/s")
-			if st := node.IngestStats(); shards > 1 && st.Dropped != 0 {
-				b.Fatalf("blocking mode must not drop: %+v", st)
-			}
-		})
+	node, err := New(WithNodeID("K1"))
+	if err != nil {
+		b.Fatal(err)
 	}
+	defer node.Close()
+	// Warm up knowledge-driven activation outside the timer.
+	for _, c := range caps {
+		node.HandleCapture(c)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		node.HandleCapture(caps[i%len(caps)])
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pkts/s")
 }
 
 // benchBomb panics on its first packet and stays quarantined for the

@@ -15,7 +15,6 @@ import (
 	"sort"
 
 	"kalis/internal/eval"
-	"kalis/internal/packet"
 	"kalis/internal/trace"
 )
 
@@ -93,44 +92,16 @@ func recordScenario(name, out string, seed int64, episodes int) error {
 	if !ok {
 		return fmt.Errorf("unknown scenario %q", name)
 	}
-	run := sc.Build(seed, episodes)
 	f, err := os.Create(out)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	w := trace.NewWriter(f)
-	var werr error
-	run.Sniffer.Subscribe(func(c *packet.Captured) {
-		raw := reencode(c)
-		if raw == nil {
-			return
-		}
-		rec := &trace.Record{Time: c.Time, Medium: c.Medium, RSSI: c.RSSI, Raw: raw, Truth: c.Truth}
-		if err := w.Write(rec); err != nil && werr == nil {
-			werr = err
-		}
-	})
-	run.Sim.Run(run.End)
-	if werr != nil {
-		return werr
-	}
-	if err := w.Flush(); err != nil {
+	n, err := sc.Record(seed, episodes, f)
+	if err != nil {
 		return err
 	}
-	fmt.Printf("recorded %d frames of %s into %s\n", w.Count(), sc.Name, out)
-	return nil
-}
-
-// reencode rebuilds the raw frame from the outermost decoded layer.
-func reencode(c *packet.Captured) []byte {
-	if len(c.Layers) == 0 {
-		return nil
-	}
-	type encoder interface{ Encode() []byte }
-	if e, ok := c.Layers[0].(encoder); ok {
-		return e.Encode()
-	}
+	fmt.Printf("recorded %d frames of %s into %s\n", n, sc.Name, out)
 	return nil
 }
 

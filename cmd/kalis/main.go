@@ -21,28 +21,11 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"kalis"
 	"kalis/internal/eval"
 )
-
-// syncWriter serializes output lines: with -shards > 1 alert and
-// knowledge callbacks fire from shard worker goroutines concurrently.
-type syncWriter struct {
-	mu sync.Mutex
-	w  io.Writer
-}
-
-func (s *syncWriter) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.w.Write(p)
-}
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -70,12 +53,10 @@ func run(args []string, stdout io.Writer) error {
 		list          = fs.Bool("list", false, "list built-in scenarios and exit")
 		telemetryAddr = fs.String("telemetry", "", "serve the runtime-telemetry admin endpoint on this address (e.g. 127.0.0.1:9090)")
 		stateDir      = fs.String("state-dir", "", "persist node state in this directory and warm-restart from it (empty: no persistence)")
-		shards        = fs.Int("shards", runtime.NumCPU(), "ingestion shards (1 = synchronous dispatch; default scales to the CPU count)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	stdout = &syncWriter{w: stdout}
 
 	if *list {
 		for _, sc := range eval.AllScenarios() {
@@ -98,15 +79,6 @@ func run(args []string, stdout io.Writer) error {
 	if *stateDir != "" {
 		opts = append(opts, kalis.WithStateDir(*stateDir))
 	}
-	if *shards > 1 {
-		// Scenario and trace runs are offline replay: lossless
-		// backpressure (every frame observed), paced so no shard
-		// worker races whole attack episodes ahead of the knowledge
-		// the other shards are still deriving.
-		opts = append(opts, kalis.WithShards(*shards),
-			kalis.WithIngestBlocking(),
-			kalis.WithIngestMaxSkew(time.Second))
-	}
 	node, err := kalis.New(opts...)
 	if err != nil {
 		return err
@@ -128,9 +100,9 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	var alerts atomic.Int64
+	alerts := 0
 	node.OnAlert(func(a kalis.Alert) {
-		alerts.Add(1)
+		alerts++
 		fmt.Fprintf(stdout, "%s ALERT %-20s victim=%-14s suspects=%v conf=%.2f — %s\n",
 			a.Time.Format("15:04:05.000"), a.Attack, a.Victim, a.Suspects, a.Confidence, a.Details)
 	})
@@ -158,8 +130,7 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		node.DrainIngest()
-		fmt.Fprintf(stdout, "replayed %d frames (%d skipped), %d alerts\n", replayed, skipped, alerts.Load())
+		fmt.Fprintf(stdout, "replayed %d frames (%d skipped), %d alerts\n", replayed, skipped, alerts)
 
 	case *scenario != "":
 		sc, ok := eval.ScenarioByName(*scenario)
@@ -170,8 +141,7 @@ func run(args []string, stdout io.Writer) error {
 		run.Sniffer.Subscribe(node.HandleCapture)
 		fmt.Fprintf(stdout, "simulating %s with %d attack episodes...\n", sc.Name, *episodes)
 		run.Sim.Run(run.End)
-		node.DrainIngest()
-		fmt.Fprintf(stdout, "\ncaptured %d frames, raised %d alerts\n", run.Sniffer.Captures, alerts.Load())
+		fmt.Fprintf(stdout, "\ncaptured %d frames, raised %d alerts\n", run.Sniffer.Captures, alerts)
 		fmt.Fprintf(stdout, "active modules at end: %s\n", strings.Join(node.ActiveModules(), ", "))
 
 	default:

@@ -55,45 +55,6 @@ func TestRunScenario(t *testing.T) {
 	}
 }
 
-// TestRunScenarioSharded pins detection parity between the sharded and
-// synchronous pipelines. The flood scenarios spoof many source
-// identities, so source-hash sharding scatters each attack across
-// every shard — parity needs the shared endpoint trackers
-// (flow.Trackers), the window-level alert gate (one burst, one alert),
-// reader-relative window counting (a shard ahead of the replay must
-// not destroy a laggard's evidence), default-vs-evidence knowledge
-// provenance (a shard's single-hop declaration must not clobber
-// another's forwarding proof — smurf), and ingest skew pacing (module
-// activation knowledge must not lag whole episodes behind a racing
-// worker). Multi-core CI runs the sharded path by default (-shards
-// NumCPU), so a regression here also breaks TestRunScenario there.
-func TestRunScenarioSharded(t *testing.T) {
-	alerts := func(args ...string) string {
-		t.Helper()
-		var sb strings.Builder
-		if err := run(args, &sb); err != nil {
-			t.Fatal(err)
-		}
-		out := sb.String()
-		m := regexp.MustCompile(`raised (\d+) alerts`).FindStringSubmatch(out)
-		if m == nil {
-			t.Fatalf("no alert summary in output:\n%s", out)
-		}
-		return m[1]
-	}
-	for _, sc := range []string{"icmp-flood", "syn-flood", "smurf"} {
-		sync := alerts("-scenario", sc, "-episodes", "3", "-shards", "1")
-		for _, shards := range []string{"2", "4"} {
-			sharded := alerts("-scenario", sc, "-episodes", "3", "-shards", shards)
-			if sharded == "0" {
-				t.Errorf("%s: sharded (-shards %s) run raised no alerts — endpoint evidence is not shared across shards", sc, shards)
-			} else if sharded != sync {
-				t.Errorf("%s: -shards %s raised %s alerts, synchronous run %s — want parity", sc, shards, sharded, sync)
-			}
-		}
-	}
-}
-
 // TestRunScenarioWithTelemetry drives the full startup-shutdown path
 // with -telemetry and scrapes the live admin endpoint after traffic
 // replay: packet and module-latency metrics must be non-zero.

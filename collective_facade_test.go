@@ -1,9 +1,15 @@
 package kalis
 
 import (
+	"bytes"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
+	"kalis/internal/core/detection"
+	"kalis/internal/core/knowledge"
+	"kalis/internal/eval"
 	"kalis/internal/packet"
 	"kalis/internal/proto/stack"
 )
@@ -49,7 +55,7 @@ func TestFacadeCollectiveUDP(t *testing.T) {
 	driveBlackhole(t, nodeA)
 	deadline = time.Now().Add(3 * time.Second)
 	for time.Now().Before(deadline) {
-		if hasRemoteSuspect(nodeB) {
+		if hasSuspectFrom(nodeB, "KA") {
 			return
 		}
 		// The suspicion is buffered until node A's next gossip round.
@@ -59,13 +65,89 @@ func TestFacadeCollectiveUDP(t *testing.T) {
 	t.Fatal("collective knowgget never reached node B")
 }
 
-func hasRemoteSuspect(n *Node) bool {
+func hasSuspectFrom(n *Node, creator string) bool {
 	for _, kg := range n.Knowledge() {
-		if kg.Creator == "KA" && kg.Label == "SuspectBlackhole" {
+		if kg.Creator == creator && kg.Label == knowledge.LabelSuspectBlackhole {
 			return true
 		}
 	}
 	return false
+}
+
+// TestCollectiveGossipDuringDispatchUDP feeds WSN traffic into node A
+// while node B gossips a stream of collective blackhole suspicions to
+// it over UDP loopback. The UDP transport applies gossip on its socket
+// goroutine, and the suspicions fire A's Wormhole module callbacks
+// while A's feeder dispatches packets to the same module; under -race
+// this fails unless the two are serialized.
+func TestCollectiveGossipDuringDispatchUDP(t *testing.T) {
+	sc, ok := eval.ScenarioByName("selective-forwarding")
+	if !ok {
+		t.Fatal("selective-forwarding scenario missing")
+	}
+	raw := recordTrace(t, sc, 1)
+
+	nodeA, err := New(WithNodeID("KA"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nodeA.Close()
+	nodeB, err := New(WithNodeID("KB"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nodeB.Close()
+	if err := nodeA.EnableCollectiveUDP("127.0.0.1:46211", []string{"127.0.0.1:46212"}, "s3cret"); err != nil {
+		t.Fatal(err)
+	}
+	if err := nodeB.EnableCollectiveUDP("127.0.0.1:46212", []string{"127.0.0.1:46211"}, "s3cret"); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(3 * time.Second)
+	for len(nodeA.CollectivePeers()) == 0 || len(nodeB.CollectivePeers()) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("nodes never discovered each other")
+		}
+		nodeA.BeaconNow()
+		nodeB.BeaconNow()
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	type result struct {
+		replayed int
+		err      error
+	}
+	fed := make(chan result, 1)
+	go func() {
+		replayed, _, err := nodeA.ReplayTrace(bytes.NewReader(raw))
+		fed <- result{replayed, err}
+	}()
+	kbB := nodeB.inner.KB()
+	var res result
+	for i := 0; ; i++ {
+		kbB.PutCollective(knowledge.LabelSuspectBlackhole, fmt.Sprintf("0x%04x", 0x100+i), "3,4")
+		nodeB.GossipNow()
+		select {
+		case res = <-fed:
+		case <-time.After(time.Millisecond):
+			continue
+		}
+		break
+	}
+	if res.err != nil || res.replayed == 0 {
+		t.Fatalf("feeder replayed %d frames, err %v", res.replayed, res.err)
+	}
+	if !slices.Contains(nodeA.ActiveModules(), detection.WormholeName) {
+		t.Fatalf("%s never activated on node A; active: %v", detection.WormholeName, nodeA.ActiveModules())
+	}
+	deadline = time.Now().Add(3 * time.Second)
+	for !hasSuspectFrom(nodeA, "KB") {
+		if time.Now().After(deadline) {
+			t.Fatal("no gossiped suspicion reached node A")
+		}
+		nodeB.GossipNow()
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 func TestFacadeCollectiveUDPBadAddr(t *testing.T) {

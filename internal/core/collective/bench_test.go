@@ -42,7 +42,7 @@ func BenchmarkDigestEncode(b *testing.B) {
 func BenchmarkGossipRound(b *testing.B) {
 	hub := NewHub()
 	kb := knowledge.NewBase("K0")
-	n, err := NewNode(kb, hub.Endpoint("p0"), "secret")
+	n, err := NewNode(kb, hub.Endpoint("p0"), "secret", nil)
 	if err != nil {
 		b.Fatal(err)
 	}

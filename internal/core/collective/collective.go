@@ -36,6 +36,11 @@ type Node struct {
 	kb        *knowledge.Base
 	transport Transport
 	aead      cipher.AEAD
+	// owner is held around every Knowledge Base write this node makes
+	// (gossip application, the Peers count): KB subscriptions run module
+	// callbacks on the writer's goroutine, and the owning IDS node
+	// dispatches packets under the same lock. Never held while sending.
+	owner sync.Locker
 
 	mu    sync.Mutex
 	peers map[string]*peerInfo // Kalis node ID → liveness record
@@ -122,8 +127,10 @@ func (n *Node) SetMetrics(met Metrics) {
 
 // NewNode creates a collective-knowledge manager. The pre-shared
 // passphrase keys the AES-GCM channel ("all communications among the
-// nodes are encrypted", §V).
-func NewNode(kb *knowledge.Base, t Transport, passphrase string) (*Node, error) {
+// nodes are encrypted", §V). owner is the lock under which the owning
+// node mutates module state; the collective takes it around its own
+// Knowledge Base writes. Nil selects a private lock.
+func NewNode(kb *knowledge.Base, t Transport, passphrase string, owner sync.Locker) (*Node, error) {
 	key := sha256.Sum256([]byte(passphrase))
 	block, err := aes.NewCipher(key[:])
 	if err != nil {
@@ -133,10 +140,14 @@ func NewNode(kb *knowledge.Base, t Transport, passphrase string) (*Node, error) 
 	if err != nil {
 		return nil, fmt.Errorf("collective: gcm: %w", err)
 	}
+	if owner == nil {
+		owner = new(sync.Mutex)
+	}
 	n := &Node{
 		kb:        kb,
 		transport: t,
 		aead:      aead,
+		owner:     owner,
 		peers:     make(map[string]*peerInfo),
 		vv:        kb.Digest(), // restored state seeds the watermarks
 		dirty:     make(map[string]knowledge.Knowgget, 8),
@@ -221,7 +232,7 @@ func (n *Node) AddPeer(id, addr string) {
 	n.met.Peers.Set(int64(len(n.peers)))
 	count := len(n.peers)
 	n.mu.Unlock()
-	n.kb.PutInt("Peers", count)
+	n.putPeers(count)
 }
 
 // RunBeacon starts periodic beaconing in a background goroutine; call
@@ -456,7 +467,7 @@ func (n *Node) receive(fromAddr string, data []byte) {
 		n.met.Peers.Set(int64(len(n.peers)))
 		n.mu.Unlock()
 		if !known {
-			n.kb.PutInt("Peers", len(n.Peers()))
+			n.putPeers(len(n.Peers()))
 			n.syncTo(fromAddr)
 		}
 	case kindGossip:
@@ -494,8 +505,16 @@ func (n *Node) admitOrTouch(id, addr string) {
 	count := len(n.peers)
 	n.mu.Unlock()
 	if !known {
-		n.kb.PutInt("Peers", count)
+		n.putPeers(count)
 	}
+}
+
+// putPeers records the peer-table size as the Peers knowgget under the
+// owner lock.
+func (n *Node) putPeers(count int) {
+	n.owner.Lock()
+	n.kb.PutInt("Peers", count)
+	n.owner.Unlock()
 }
 
 // applySections version-checks every entry of every delta section into
@@ -514,15 +533,19 @@ func (n *Node) applySections(fromID string, secs []deltaSection) {
 			continue
 		}
 		accepted := 0
+		// AcceptGossip runs outside n.mu: it fires Knowledge Base
+		// subscriptions, which may re-enter this node (e.g. a module
+		// publishing a new collective knowgget in reaction). It runs
+		// under the owner lock, because those subscriptions mutate
+		// module state.
+		n.owner.Lock()
 		for _, k := range sec.entries {
 			k.Creator = sec.creator
-			// AcceptGossip runs outside n.mu: it fires Knowledge Base
-			// subscriptions, which may re-enter this node (e.g. a
-			// module publishing a new collective knowgget in reaction).
 			if n.kb.AcceptGossip(fromID, k) {
 				accepted++
 			}
 		}
+		n.owner.Unlock()
 		n.mu.Lock()
 		n.received += accepted
 		n.met.SyncReceived.Add(uint64(accepted))

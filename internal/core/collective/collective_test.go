@@ -13,11 +13,11 @@ func pair(t *testing.T) (*knowledge.Base, *Node, *knowledge.Base, *Node) {
 	hub := NewHub()
 	kb1 := knowledge.NewBase("K1")
 	kb2 := knowledge.NewBase("K2")
-	n1, err := NewNode(kb1, hub.Endpoint("addr1"), "secret")
+	n1, err := NewNode(kb1, hub.Endpoint("addr1"), "secret", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n2, err := NewNode(kb2, hub.Endpoint("addr2"), "secret")
+	n2, err := NewNode(kb2, hub.Endpoint("addr2"), "secret", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,9 +112,9 @@ func TestGossipRelayAndPull(t *testing.T) {
 	kbA := knowledge.NewBase("KA")
 	kbB := knowledge.NewBase("KB")
 	kbC := knowledge.NewBase("KC")
-	nA, _ := NewNode(kbA, hub.Endpoint("a"), "secret")
-	nB, _ := NewNode(kbB, hub.Endpoint("b"), "secret")
-	nC, _ := NewNode(kbC, hub.Endpoint("c"), "secret")
+	nA, _ := NewNode(kbA, hub.Endpoint("a"), "secret", nil)
+	nB, _ := NewNode(kbB, hub.Endpoint("b"), "secret", nil)
+	nC, _ := NewNode(kbC, hub.Endpoint("c"), "secret", nil)
 	nA.AddPeer("KB", "b")
 	nB.AddPeer("KA", "a")
 	nB.AddPeer("KC", "c")
@@ -145,7 +145,7 @@ func TestGossipRelayAndPull(t *testing.T) {
 func TestFanoutCap(t *testing.T) {
 	hub := NewHub()
 	kb := knowledge.NewBase("K0")
-	n, _ := NewNode(kb, hub.Endpoint("p0"), "secret")
+	n, _ := NewNode(kb, hub.Endpoint("p0"), "secret", nil)
 	n.SetFanout(3)
 	const peers = 10
 	got := 0
@@ -202,8 +202,8 @@ func TestWrongPassphraseIsolated(t *testing.T) {
 	hub := NewHub()
 	kb1 := knowledge.NewBase("K1")
 	kb2 := knowledge.NewBase("K2")
-	n1, _ := NewNode(kb1, hub.Endpoint("a1"), "secret")
-	n2, _ := NewNode(kb2, hub.Endpoint("a2"), "other")
+	n1, _ := NewNode(kb1, hub.Endpoint("a1"), "secret", nil)
+	n2, _ := NewNode(kb2, hub.Endpoint("a2"), "other", nil)
 	n1.Beacon()
 	n2.Beacon()
 	if len(n1.Peers()) != 0 || len(n2.Peers()) != 0 {
@@ -218,7 +218,7 @@ func TestWrongPassphraseIsolated(t *testing.T) {
 func TestNoSelfPeering(t *testing.T) {
 	hub := NewHub()
 	kb := knowledge.NewBase("K1")
-	n, _ := NewNode(kb, hub.Endpoint("a1"), "secret")
+	n, _ := NewNode(kb, hub.Endpoint("a1"), "secret", nil)
 	// A second endpoint replays K1's own beacon back.
 	echo := hub.Endpoint("a2")
 	var captured []byte
@@ -249,11 +249,11 @@ func TestUDPTransport(t *testing.T) {
 	t1.SetBroadcasts([]string{t2.Addr()})
 	t2.SetBroadcasts([]string{t1.Addr()})
 
-	n1, err := NewNode(kb1, t1, "secret")
+	n1, err := NewNode(kb1, t1, "secret", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n2, err := NewNode(kb2, t2, "secret")
+	n2, err := NewNode(kb2, t2, "secret", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

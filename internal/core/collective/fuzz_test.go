@@ -13,7 +13,7 @@ import (
 func fuzzSeal(f *testing.F, payload []byte) []byte {
 	f.Helper()
 	kb := knowledge.NewBase("K9")
-	n, err := NewNode(kb, NewHub().Endpoint("seed"), "secret")
+	n, err := NewNode(kb, NewHub().Endpoint("seed"), "secret", nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func FuzzNodeReceive(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		kb := knowledge.NewBase("K1")
 		kb.Put("Multihop", "true")
-		n, err := NewNode(kb, NewHub().Endpoint("a1"), "secret")
+		n, err := NewNode(kb, NewHub().Endpoint("a1"), "secret", nil)
 		if err != nil {
 			t.Fatal(err)
 		}

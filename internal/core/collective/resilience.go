@@ -119,7 +119,7 @@ func (n *Node) sweep() {
 	n.mu.Unlock()
 	if evicted > 0 {
 		// Outside n.mu: Put fires Knowledge Base subscriptions.
-		n.kb.PutInt("Peers", count)
+		n.putPeers(count)
 	}
 }
 

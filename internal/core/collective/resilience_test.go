@@ -88,7 +88,7 @@ func TestUpdatesCountAsLiveness(t *testing.T) {
 func TestBoundedPeerTableEvictsStalest(t *testing.T) {
 	hub := NewHub()
 	kb1 := knowledge.NewBase("K1")
-	n1, err := NewNode(kb1, hub.Endpoint("addr1"), "secret")
+	n1, err := NewNode(kb1, hub.Endpoint("addr1"), "secret", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestBoundedPeerTableEvictsStalest(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		id := fmt.Sprintf("P%d", i)
 		kb := knowledge.NewBase(id)
-		pn, err := NewNode(kb, hub.Endpoint("p"+id), "secret")
+		pn, err := NewNode(kb, hub.Endpoint("p"+id), "secret", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,11 +149,11 @@ func flakyPair(t *testing.T, failures int, perm bool) (*knowledge.Base, *knowled
 	kb1 := knowledge.NewBase("K1")
 	kb2 := knowledge.NewBase("K2")
 	ft := &flakyTransport{Transport: hub.Endpoint("addr1"), failures: failures, perm: perm}
-	n1, err := NewNode(kb1, ft, "secret")
+	n1, err := NewNode(kb1, ft, "secret", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n2, err := NewNode(kb2, hub.Endpoint("addr2"), "secret")
+	n2, err := NewNode(kb2, hub.Endpoint("addr2"), "secret", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestSendPermanentFailureNotRetried(t *testing.T) {
 func TestMalformedDatagramsCountedNeverFatal(t *testing.T) {
 	hub := NewHub()
 	kb1 := knowledge.NewBase("K1")
-	n1, err := NewNode(kb1, hub.Endpoint("addr1"), "secret")
+	n1, err := NewNode(kb1, hub.Endpoint("addr1"), "secret", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

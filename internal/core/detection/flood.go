@@ -28,11 +28,7 @@ var (
 
 // The per-victim alert policy — event threshold plus cooldown — is
 // enforced by flow.VictimWindow.Gate, keyed by module name so the
-// several modules reading one shared window gate independently, and
-// armed in the same critical section as the threshold check so a
-// sharded node (whose per-shard module instances share the window, see
-// flow.Trackers) raises one alert per burst per module, not one per
-// shard.
+// several modules reading one shared window gate independently.
 
 // eventRSSIs extracts the RSSI samples of a victim window.
 func eventRSSIs(evs []flow.Event) []float64 {

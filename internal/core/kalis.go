@@ -10,8 +10,7 @@ package core
 import (
 	"fmt"
 	"io"
-	"sort"
-	"strconv"
+	"sync"
 	"time"
 
 	"kalis/internal/core/collective"
@@ -23,7 +22,6 @@ import (
 	"kalis/internal/core/module"
 	"kalis/internal/core/sensing"
 	"kalis/internal/flow"
-	"kalis/internal/ingest"
 	"kalis/internal/packet"
 	"kalis/internal/persist"
 	"kalis/internal/telemetry"
@@ -67,54 +65,29 @@ type Config struct {
 	// capture clock; 0 selects persist.DefaultInterval. Ignored without
 	// StateDir.
 	PersistInterval time.Duration
-	// Shards selects the ingestion parallelism. 0 or 1 keep today's
-	// synchronous in-line dispatch (deterministic; the simulator and
-	// virtual-clock tests depend on it). n > 1 runs n shard pipelines
-	// — each with its own ring buffer, worker, Data Store window, flow
-	// table and module instances — sharded by hash of the packet
-	// source, so per-source state and ordering stay shard-local while
-	// aggregate throughput scales with cores.
-	Shards int
-	// IngestRing is the per-shard ring capacity in packets (rounded up
-	// to a power of two); 0 selects ingest.DefaultRingSize. Ignored
-	// when Shards <= 1.
-	IngestRing int
-	// IngestBatch caps the packets per drained batch; 0 selects
-	// ingest.DefaultBatchSize. Ignored when Shards <= 1.
-	IngestBatch int
-	// IngestBlock selects lossless ingestion backpressure (spin until
-	// ring space frees) instead of the default drop-newest policy.
-	// Ignored when Shards <= 1.
-	IngestBlock bool
-	// IngestMaxSkew bounds, in capture time, how far the feed may run
-	// ahead of the slowest busy shard — see ingest.Config.MaxSkew.
-	// Only honoured with IngestBlock; 0 disables.
-	IngestMaxSkew time.Duration
 }
 
-// Kalis is one IDS node.
-//
-// Sharding (Config.Shards > 1): the node runs one pipeline per shard —
-// Data Store window, flow table, module manager and module *instances*
-// are all per-shard, because detection modules keep per-source state
-// and are not written for concurrent dispatch. The Knowledge Base,
-// module registry, event bus, telemetry registry, alert subscribers
-// and durable state are shared. Shard 0 is the primary: its Data
-// Store carries the disk log and the persisted window, and its worker
-// drives the persistence clock. Accessors that return one component
-// (Store, Manager, Flows) return shard 0's.
+// Kalis is one IDS node. One Data Store, one flow table and one
+// Module Manager own all module state; packets are dispatched inside
+// HandleCapture (or on the packet-topic subscriber with Config.Async).
 type Kalis struct {
 	id       string
 	kb       *knowledge.Base
-	stores   []*datastore.Store
+	store    *datastore.Store
 	registry *module.Registry
-	managers []*module.Manager
+	manager  *module.Manager
 	bus      *event.Bus
-	tables   []*flow.Table
-	pipe     *ingest.Pipeline
+	flows    *flow.Table
 	coll     *collective.Node
 	tel      *telemetry.Registry
 	persist  *persist.Manager
+
+	// dispatchMu gives module state a single owner at a time. Knowledge
+	// Base subscriptions run module callbacks on the writer's
+	// goroutine, so packet dispatch and the collective's application
+	// of gossiped knowledge (which runs on the transport's socket
+	// goroutine) must not interleave.
+	dispatchMu sync.Mutex
 }
 
 // New builds a Kalis node.
@@ -122,32 +95,13 @@ func New(cfg Config) (*Kalis, error) {
 	if cfg.NodeID == "" {
 		cfg.NodeID = "K1"
 	}
-	shards := cfg.Shards
-	if shards < 1 {
-		shards = 1
-	}
 	kb := knowledge.NewBase(cfg.NodeID)
 	registry := module.NewRegistry()
 	sensing.Register(registry)
 	detection.Register(registry)
-	stores := make([]*datastore.Store, shards)
-	tables := make([]*flow.Table, shards)
-	managers := make([]*module.Manager, shards)
-	// One endpoint-tracker registry for all shards: packets shard by
-	// source hash, but victim windows, handshake ledgers and identity
-	// fingerprints key their evidence by the *other* endpoint — a
-	// spoofed-source flood scatters across every shard while its
-	// victim's window must accumulate globally (see flow.Trackers).
-	// 5-tuple flow state stays shard-local.
-	flowCfg := cfg.Flow
-	if flowCfg.Trackers == nil {
-		flowCfg.Trackers = flow.NewTrackers()
-	}
-	for i := range stores {
-		stores[i] = datastore.New(cfg.WindowSize)
-		tables[i] = flow.NewTable(flowCfg)
-		managers[i] = module.NewManager(kb, stores[i], cfg.KnowledgeDriven)
-	}
+	store := datastore.New(cfg.WindowSize)
+	table := flow.NewTable(cfg.Flow)
+	manager := module.NewManager(kb, store, cfg.KnowledgeDriven)
 	bus := event.NewBus(cfg.Async)
 	// Per-topic overflow policies (async mode): the packet topic keeps
 	// the default drop-newest (a passive IDS never blocks capture),
@@ -176,27 +130,22 @@ func New(cfg Config) (*Kalis, error) {
 			return ""
 		},
 	})
-	for _, t := range tables {
-		//lint:ignore hotalloc flow records box once per export (expiry/eviction), amortized across the flow's packets
-		t.OnExport(func(r flow.Record) { bus.Publish(event.TopicFlowRecords, r) })
-	}
+	//lint:ignore hotalloc flow records box once per export (expiry/eviction), amortized across the flow's packets
+	table.OnExport(func(r flow.Record) { bus.Publish(event.TopicFlowRecords, r) })
 	tel := telemetry.NewRegistry()
-	wireTelemetry(tel, bus, managers, stores, tables)
+	wireTelemetry(tel, bus, manager, store, table)
 	// The supervisor's circuit breaker reads queue pressure from the
 	// bus; under saturation it sheds persistently-over-budget modules.
-	// (Sharded nodes re-point this at the ingest rings below.)
-	for _, m := range managers {
-		m.SetPressure(bus.QueueDepth)
-	}
+	manager.SetPressure(bus.QueueDepth)
 
 	k := &Kalis{
 		id:       cfg.NodeID,
 		kb:       kb,
-		stores:   stores,
+		store:    store,
 		registry: registry,
-		managers: managers,
+		manager:  manager,
 		bus:      bus,
-		tables:   tables,
+		flows:    table,
 		tel:      tel,
 	}
 	// Durable state recovers BEFORE modules are installed and before
@@ -215,64 +164,36 @@ func New(cfg Config) (*Kalis, error) {
 				Recoveries: tel.CounterVec("kalis_persist_recoveries_total", "outcome",
 					"State recoveries at startup, by outcome (warm, truncated, cold)."),
 			},
-		}, kb, stores[0])
+		}, kb, store)
 		if err != nil {
 			return nil, fmt.Errorf("kalis: persist: %w", err)
 		}
 		k.persist = pm
 	}
-	if shards == 1 {
-		// Synchronous in-line dispatch: exactly the pre-sharding
-		// behavior, preserved bit-for-bit for the simulator and the
-		// virtual-clock tests.
-		manager := managers[0]
-		bus.Subscribe(event.TopicPacket, func(payload interface{}) {
-			if c, ok := payload.(*packet.Captured); ok {
-				manager.HandlePacket(c)
-				if k.persist != nil {
-					// Compaction runs on the capture clock, like every
-					// other time-driven behavior in the pipeline.
-					k.persist.Tick(c.Time)
-				}
+	bus.Subscribe(event.TopicPacket, func(payload interface{}) {
+		if c, ok := payload.(*packet.Captured); ok {
+			k.dispatchMu.Lock()
+			//lint:ignore lockorder dispatchMu is the module-state owner lock: only this subscriber and the collective's KB writes take it, and no bus consumer does, so a blocked publish never waits on its holder
+			manager.HandlePacket(c)
+			if k.persist != nil {
+				// Compaction runs on the capture clock, like every
+				// other time-driven behavior in the pipeline.
+				k.persist.Tick(c.Time)
 			}
-		})
-	} else {
-		sinks := make([]ingest.Sink, shards)
-		for i, m := range managers {
-			sinks[i] = m
+			k.dispatchMu.Unlock()
 		}
-		// Shard 0's worker also drives the persistence clock, so
-		// compaction stays on the capture clock in sharded mode.
-		sinks[0] = &persistSink{m: managers[0], k: k}
-		k.pipe = ingest.New(ingest.Config{
-			Shards:    shards,
-			RingSize:  cfg.IngestRing,
-			BatchSize: cfg.IngestBatch,
-			Block:     cfg.IngestBlock,
-			MaxSkew:   cfg.IngestMaxSkew,
-		}, sinks, ingestMetrics(tel, shards))
-		// In sharded mode the pressure signal is the ingest backlog,
-		// not the (bypassed) packet-topic queue.
-		for _, m := range managers {
-			m.SetPressure(k.pipe.Depth)
-		}
-	}
+	})
 	alerts := tel.CounterVec("kalis_alerts_total", "attack",
 		"Detection alerts raised, by canonical attack name.")
-	for _, m := range managers {
-		m.OnAlert(func(a module.Alert) {
-			//lint:ignore hotpath alerts are rare and cooldown-gated; one label lookup per alert is off the per-packet budget
-			alerts.With(a.Attack).Inc()
-			//lint:ignore hotalloc alert boxing happens once per raised alert, cooldown-gated far below packet rate
-			bus.Publish(event.TopicDetection, a)
-		})
-	}
+	manager.OnAlert(func(a module.Alert) {
+		//lint:ignore hotpath alerts are rare and cooldown-gated; one label lookup per alert is off the per-packet budget
+		alerts.With(a.Attack).Inc()
+		//lint:ignore hotalloc alert boxing happens once per raised alert, cooldown-gated far below packet rate
+		bus.Publish(event.TopicDetection, a)
+	})
 	//lint:ignore hotalloc knowgget boxing happens once per knowledge change, change-gated far below packet rate
 	kb.SubscribeAll(func(kg knowledge.Knowgget) { bus.Publish(event.TopicKnowledge, kg) })
 
-	// Each shard's manager gets its own module instances: modules keep
-	// per-source detector state, which is exactly the state the source
-	// hash keeps shard-local.
 	installed := make(map[string]bool)
 	if cfg.ConfigText != "" {
 		parsed, err := kconfig.Parse(cfg.ConfigText)
@@ -302,52 +223,10 @@ func New(cfg Config) (*Kalis, error) {
 	return k, nil
 }
 
-// persistSink is shard 0's ingest sink: normal batch dispatch plus the
-// durable-state compaction tick on the batch's latest capture time.
-type persistSink struct {
-	m *module.Manager
-	k *Kalis
-}
-
-// HandleBatch implements ingest.Sink.
-func (s *persistSink) HandleBatch(batch []*packet.Captured) {
-	s.m.HandleBatch(batch)
-	if s.k.persist != nil {
-		s.k.persist.Tick(batch[len(batch)-1].Time)
-	}
-}
-
-// ingestMetrics registers the per-shard ingestion metrics and
-// pre-resolves every shard's children so the enqueue and drain paths
-// never pay a Vec lookup.
-func ingestMetrics(tel *telemetry.Registry, shards int) ingest.Metrics {
-	depth := tel.GaugeVec("kalis_ingest_queue_depth", "shard",
-		"Packets currently queued in each shard's ingest ring.")
-	drops := tel.CounterVec("kalis_ingest_drops_total", "shard",
-		"Packets dropped by each full shard ring (drop-newest backpressure).")
-	met := ingest.Metrics{
-		BatchSize: tel.Histogram("kalis_ingest_batch_size",
-			"Packets per drained ingest batch, encoded as 1 packet == 1s (sum == total packets).",
-			ingest.BatchSizeBuckets),
-	}
-	for i := 0; i < shards; i++ {
-		label := strconv.Itoa(i)
-		met.Depth = append(met.Depth, depth.With(label))
-		met.Drops = append(met.Drops, drops.With(label))
-	}
-	return met
-}
-
 // wireTelemetry registers the node's runtime metrics and installs the
 // hooks into every instrumented component. Metric names are documented
 // in the "Runtime telemetry" section of README.md.
-//
-// Counters and histograms are additive and shared across shards. Set-
-// based gauges are not (concurrent shards would overwrite each other),
-// so in sharded mode the occupancy/active/quarantined gauges become
-// GaugeFuncs that sum the per-shard components at exposition time;
-// shards == 1 wires the exact single-pipeline metrics as before.
-func wireTelemetry(tel *telemetry.Registry, bus *event.Bus, managers []*module.Manager, stores []*datastore.Store, tables []*flow.Table) {
+func wireTelemetry(tel *telemetry.Registry, bus *event.Bus, manager *module.Manager, store *datastore.Store, table *flow.Table) {
 	bus.SetMetrics(event.Metrics{
 		Publishes: tel.CounterVec("kalis_bus_publishes_total", "topic",
 			"Events published on the bus, by topic."),
@@ -361,91 +240,39 @@ func wireTelemetry(tel *telemetry.Registry, bus *event.Bus, managers []*module.M
 	tel.GaugeFunc("kalis_bus_queue_depth",
 		"Events queued across async subscribers (0 in sync mode).",
 		func() float64 { return float64(bus.QueueDepth()) })
-	sharded := len(managers) > 1
-	mmet := module.ManagerMetrics{
+	manager.SetMetrics(module.ManagerMetrics{
 		Packets: tel.Counter("kalis_packets_total",
 			"Packets dispatched to the module pipeline."),
+		ActiveModules: tel.Gauge("kalis_modules_active",
+			"Currently active modules (knowledge-driven adaptation)."),
 		PacketLatency: tel.HistogramVec("kalis_module_packet_seconds", "module",
 			"Per-module packet-handling latency.", nil),
 		Panics: tel.CounterVec("kalis_module_panics_total", "module",
 			"Module panics recovered by the supervisor, by module."),
+		Quarantined: tel.Gauge("kalis_module_quarantined",
+			"Modules currently withheld from dispatch (quarantined or shed)."),
 		BreakerTrips: tel.Counter("kalis_breaker_trips_total",
 			"Latency circuit-breaker trips (modules shed under queue pressure)."),
-	}
-	if sharded {
-		tel.GaugeFunc("kalis_modules_active",
-			"Currently active modules (knowledge-driven adaptation).",
-			func() float64 { return float64(len(managers[0].Active())) })
-		tel.GaugeFunc("kalis_module_quarantined",
-			"Modules currently withheld from dispatch (quarantined or shed), summed over shards.",
-			func() float64 {
-				n := 0
-				for _, m := range managers {
-					n += len(m.Quarantined())
-				}
-				return float64(n)
-			})
-	} else {
-		mmet.ActiveModules = tel.Gauge("kalis_modules_active",
-			"Currently active modules (knowledge-driven adaptation).")
-		mmet.Quarantined = tel.Gauge("kalis_module_quarantined",
-			"Modules currently withheld from dispatch (quarantined or shed).")
-	}
-	smet := datastore.StoreMetrics{
+	})
+	store.SetMetrics(datastore.StoreMetrics{
 		Appended: tel.Counter("kalis_store_appended_total",
 			"Packets ever appended to the Data Store."),
-	}
-	if sharded {
-		tel.GaugeFunc("kalis_store_window_occupancy",
-			"Packets currently held in the Data Store sliding windows (all shards).",
-			func() float64 {
-				n := 0
-				for _, s := range stores {
-					n += s.Len()
-				}
-				return float64(n)
-			})
-	} else {
-		smet.Occupancy = tel.Gauge("kalis_store_window_occupancy",
-			"Packets currently held in the Data Store sliding window.")
-	}
+		Occupancy: tel.Gauge("kalis_store_window_occupancy",
+			"Packets currently held in the Data Store sliding window."),
+	})
 	tel.GaugeFunc("kalis_store_window_capacity",
-		"Data Store sliding-window capacity in packets (all shards).",
-		func() float64 {
-			n := 0
-			for _, s := range stores {
-				n += s.Capacity()
-			}
-			return float64(n)
-		})
-	fmet := flow.Metrics{
+		"Data Store sliding-window capacity in packets.",
+		func() float64 { return float64(store.Capacity()) })
+	table.SetMetrics(flow.Metrics{
 		Expirations: tel.Counter("kalis_flow_expirations_total",
 			"Flows exported after idle or active timeout (incl. shutdown flush)."),
 		Evictions: tel.Counter("kalis_flow_evictions_total",
 			"Flows exported early because the table hit its capacity bound."),
-	}
-	if sharded {
-		tel.GaugeFunc("kalis_flow_active",
-			"Flows currently tracked across all shard flow tables.",
-			func() float64 {
-				n := 0
-				for _, t := range tables {
-					n += t.Len()
-				}
-				return float64(n)
-			})
-	} else {
-		fmet.Active = tel.Gauge("kalis_flow_active",
-			"Flows currently tracked in the flow table.")
-	}
-	flowLat := tel.Histogram("kalis_flow_update_seconds",
-		"Per-packet flow-table and feature update latency.", nil)
-	for i := range managers {
-		managers[i].SetMetrics(mmet)
-		stores[i].SetMetrics(smet)
-		tables[i].SetMetrics(fmet)
-		managers[i].SetFlows(tables[i], flowLat)
-	}
+		Active: tel.Gauge("kalis_flow_active",
+			"Flows currently tracked in the flow table."),
+	})
+	manager.SetFlows(table, tel.Histogram("kalis_flow_update_seconds",
+		"Per-packet flow-table and feature update latency.", nil))
 	telemetry.RegisterRuntimeMetrics(tel)
 }
 
@@ -460,64 +287,32 @@ func (k *Kalis) Telemetry() *telemetry.Registry { return k.tel }
 // KB returns the node's Knowledge Base.
 func (k *Kalis) KB() *knowledge.Base { return k.kb }
 
-// Store returns the node's Data Store (shard 0's when sharded: the
-// primary window, which also carries the disk log and durable state).
-func (k *Kalis) Store() *datastore.Store { return k.stores[0] }
+// Store returns the node's Data Store.
+func (k *Kalis) Store() *datastore.Store { return k.store }
 
-// Manager returns the node's Module Manager (shard 0's when sharded).
-func (k *Kalis) Manager() *module.Manager { return k.managers[0] }
+// Manager returns the node's Module Manager.
+func (k *Kalis) Manager() *module.Manager { return k.manager }
 
 // Registry returns the node's module registry (for installing custom
 // modules).
 func (k *Kalis) Registry() *module.Registry { return k.registry }
 
-// Install instantiates a registered module by name and installs it —
-// one instance per shard, since modules hold per-source state and each
-// shard dispatches independently.
+// Install instantiates a registered module by name and installs it.
 func (k *Kalis) Install(name string, params map[string]string) error {
-	for _, m := range k.managers {
-		mod, err := k.registry.New(name, params)
-		if err != nil {
-			return err
-		}
-		m.Install(mod, params)
+	mod, err := k.registry.New(name, params)
+	if err != nil {
+		return err
 	}
+	k.manager.Install(mod, params)
 	return nil
 }
 
 // HandleCapture feeds one captured packet into the node — the entry
-// point wired to sniffers and trace replay. Sharded nodes enqueue to
-// the source's shard ring (the packet bus topic is bypassed);
-// unsharded nodes publish synchronously as always.
+// point wired to sniffers and trace replay. With synchronous events
+// every module has seen the packet when it returns.
 func (k *Kalis) HandleCapture(c *packet.Captured) {
-	if k.pipe != nil {
-		k.pipe.Enqueue(c)
-		return
-	}
 	k.bus.Publish(event.TopicPacket, c)
 }
-
-// DrainIngest blocks until every packet accepted by the shard rings so
-// far has been dispatched. A no-op on unsharded nodes (dispatch is
-// synchronous). Call it before reading alerts or counters after a
-// replay, or rely on Close, which drains losslessly.
-func (k *Kalis) DrainIngest() {
-	if k.pipe != nil {
-		k.pipe.Drain()
-	}
-}
-
-// IngestStats returns the sharded pipeline's packet accounting (the
-// zero Stats on unsharded nodes).
-func (k *Kalis) IngestStats() ingest.Stats {
-	if k.pipe != nil {
-		return k.pipe.Stats()
-	}
-	return ingest.Stats{}
-}
-
-// Shards returns the node's ingestion shard count.
-func (k *Kalis) Shards() int { return len(k.managers) }
 
 // OnAlert registers a detection-event consumer.
 func (k *Kalis) OnAlert(fn func(module.Alert)) {
@@ -537,72 +332,26 @@ func (k *Kalis) OnKnowledge(fn func(knowledge.Knowgget)) {
 	})
 }
 
-// Alerts returns every alert collected so far; on sharded nodes the
-// per-shard collections are merged in capture-time order.
-func (k *Kalis) Alerts() []module.Alert {
-	if len(k.managers) == 1 {
-		return k.managers[0].Alerts()
-	}
-	var out []module.Alert
-	for _, m := range k.managers {
-		out = append(out, m.Alerts()...)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Time.Before(out[j].Time) })
-	return out
-}
+// Alerts returns every alert collected so far.
+func (k *Kalis) Alerts() []module.Alert { return k.manager.Alerts() }
 
 // ActiveModules returns the names of currently active modules.
-// Activation is a Knowledge Base decision and the KB is shared, so
-// every shard activates identically; shard 0 answers for all.
-func (k *Kalis) ActiveModules() []string { return k.managers[0].Active() }
+func (k *Kalis) ActiveModules() []string { return k.manager.Active() }
 
 // QuarantinedModules returns the modules the supervisor currently
-// withholds from dispatch (panicked or shed by the circuit breaker) on
-// any shard — supervision is per shard instance.
-func (k *Kalis) QuarantinedModules() []string {
-	if len(k.managers) == 1 {
-		return k.managers[0].Quarantined()
-	}
-	seen := make(map[string]bool)
-	var out []string
-	for _, m := range k.managers {
-		for _, name := range m.Quarantined() {
-			if !seen[name] {
-				seen[name] = true
-				out = append(out, name)
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
-}
+// withholds from dispatch (panicked or shed by the circuit breaker).
+func (k *Kalis) QuarantinedModules() []string { return k.manager.Quarantined() }
 
 // ModuleHealth reports every installed module's activation and
 // supervision state ("inactive", "healthy", "quarantined", "probing",
-// "shed"). On sharded nodes each module reports its most-degraded
-// state across shards.
-func (k *Kalis) ModuleHealth() map[string]string {
-	if len(k.managers) == 1 {
-		return k.managers[0].Health()
-	}
-	rank := map[string]int{"inactive": 0, "healthy": 1, "probing": 2, "shed": 3, "quarantined": 4}
-	out := make(map[string]string)
-	for _, m := range k.managers {
-		for name, state := range m.Health() {
-			if prev, ok := out[name]; !ok || rank[state] > rank[prev] {
-				out[name] = state
-			}
-		}
-	}
-	return out
-}
+// "shed").
+func (k *Kalis) ModuleHealth() map[string]string { return k.manager.Health() }
 
 // Bus returns the node's event bus (for policy tuning and tests).
 func (k *Kalis) Bus() *event.Bus { return k.bus }
 
-// Flows returns the node's flow table (shard 0's when sharded; each
-// shard tracks the flows of the sources that hash to it).
-func (k *Kalis) Flows() *flow.Table { return k.tables[0] }
+// Flows returns the node's flow table.
+func (k *Kalis) Flows() *flow.Table { return k.flows }
 
 // OnFlowRecord registers a consumer for exported flow records (flows
 // that expired, were evicted, or were flushed at shutdown).
@@ -614,15 +363,13 @@ func (k *Kalis) OnFlowRecord(fn func(flow.Record)) {
 	})
 }
 
-// SetLog enables traffic logging to w in the Kalis trace format. On
-// sharded nodes only shard 0's traffic is logged (the trace format is
-// a serial stream; interleaving concurrent shards would scramble it).
-func (k *Kalis) SetLog(w io.Writer) { k.stores[0].SetLog(w) }
+// SetLog enables traffic logging to w in the Kalis trace format.
+func (k *Kalis) SetLog(w io.Writer) { k.store.SetLog(w) }
 
 // EnableCollective attaches collective knowledge management over the
 // given transport with a pre-shared passphrase.
 func (k *Kalis) EnableCollective(t collective.Transport, passphrase string) error {
-	n, err := collective.NewNode(k.kb, t, passphrase)
+	n, err := collective.NewNode(k.kb, t, passphrase, &k.dispatchMu)
 	if err != nil {
 		return err
 	}
@@ -672,12 +419,12 @@ func (k *Kalis) Collective() *collective.Node { return k.coll }
 // discovery entirely. The result parses back with kconfig.Parse.
 func (k *Kalis) SuggestConfig() string {
 	cfg := &kconfig.Config{}
-	for _, name := range k.managers[0].Active() {
-		if kind, ok := k.managers[0].ModuleKind(name); !ok || kind != module.KindDetection {
+	for _, name := range k.manager.Active() {
+		if kind, ok := k.manager.ModuleKind(name); !ok || kind != module.KindDetection {
 			continue
 		}
 		def := kconfig.ModuleDef{Name: name}
-		if params := k.managers[0].ParamsOf(name); len(params) > 0 {
+		if params := k.manager.ParamsOf(name); len(params) > 0 {
 			def.Params = params
 		}
 		cfg.Modules = append(cfg.Modules, def)
@@ -699,20 +446,14 @@ func (k *Kalis) SuggestConfig() string {
 // runs without a state directory.
 func (k *Kalis) Persistence() *persist.Manager { return k.persist }
 
-// Close shuts the node down: the shard rings drain losslessly (every
-// accepted packet is dispatched), the flow tables flush their
-// remaining flows as records, the event bus drains, the traffic log
-// flushes and closes, durable state takes its final snapshot, and the
-// collective layer closes.
+// Close shuts the node down: the flow table flushes its remaining
+// flows as records, the event bus drains, the traffic log flushes and
+// closes, durable state takes its final snapshot, and the collective
+// layer closes.
 func (k *Kalis) Close() error {
-	if k.pipe != nil {
-		k.pipe.Stop()
-	}
-	for _, t := range k.tables {
-		t.Flush()
-	}
+	k.flows.Flush()
 	k.bus.Close()
-	err := k.stores[0].CloseLog()
+	err := k.store.CloseLog()
 	if k.persist != nil {
 		if perr := k.persist.Stop(); err == nil {
 			err = perr

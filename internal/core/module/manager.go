@@ -368,82 +368,6 @@ func (m *Manager) HandlePacket(c *packet.Captured) {
 	}
 }
 
-// HandleBatch dispatches a batch of packets through the same pipeline
-// as HandlePacket, amortizing the lock round-trip, snapshot read and
-// supervision bookkeeping across the batch — the per-shard worker path
-// of the sharded ingestion pipeline (internal/ingest). The supervisor
-// runs once per batch on the last packet's timestamp: revival and
-// breaker decisions are windowed anyway, so batch-granular evaluation
-// only defers them by at most one batch. A module that panics mid-
-// batch keeps being invoked (and contained) for the rest of the batch
-// under the stale snapshot, exactly as a quarantined module still
-// receives the in-flight packet under HandlePacket; quarantine is
-// idempotent.
-func (m *Manager) HandleBatch(batch []*packet.Captured) {
-	if len(batch) == 0 {
-		return
-	}
-	last := batch[len(batch)-1]
-
-	m.mu.Lock()
-	base := m.packets
-	m.packets += uint64(len(batch))
-	if m.degraded > 0 {
-		m.reviveLocked(last.Time)
-	}
-	if m.pressure != nil && m.sup.BreakerWindow > 0 &&
-		m.packets/uint64(m.sup.BreakerWindow) != base/uint64(m.sup.BreakerWindow) {
-		m.breakerLocked(last.Time)
-	}
-	snap := m.snap
-	timed := m.timed
-	flows, flowLat := m.flows, m.flowLat
-	var health []healthEvent
-	if len(m.pendingHealth) > 0 {
-		health = m.pendingHealth
-		m.pendingHealth = nil
-	}
-	m.invocations += uint64(len(snap)) * uint64(len(batch))
-	m.met.Packets.Add(uint64(len(batch)))
-	m.mu.Unlock()
-
-	if len(health) > 0 {
-		m.publishHealth(health)
-	}
-
-	for bi, c := range batch {
-		_ = m.store.Append(c)
-		if flows != nil {
-			// Same 1-in-16 sampling as HandlePacket, continued across
-			// batch boundaries by the pre-batch packet count.
-			if flowLat != nil && (base+uint64(bi))&0xf == 0 {
-				start := time.Now()
-				flows.Update(c)
-				flowLat.Observe(time.Since(start))
-			} else {
-				flows.Update(c)
-			}
-		}
-		for _, e := range snap {
-			var start time.Time
-			if timed {
-				start = time.Now()
-			}
-			ok, cause := m.invoke(e.mod, c)
-			if !ok {
-				m.quarantine(e.st, c.Time, cause)
-				continue
-			}
-			if timed {
-				e.lat.Observe(time.Since(start))
-			}
-			if e.probing {
-				m.probeOK(e.st)
-			}
-		}
-	}
-}
-
 // Active returns the names of the modules the knowledge currently
 // activates, in install order (quarantined modules included: their
 // activation is a knowledge decision, their dispatch a supervision

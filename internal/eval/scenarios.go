@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"net/netip"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"kalis/internal/netsim"
 	"kalis/internal/packet"
 	"kalis/internal/proto/stack"
+	"kalis/internal/trace"
 )
 
 // Run is one built scenario instance ready to execute.
@@ -504,4 +506,40 @@ func ScenarioByName(name string) (Scenario, bool) {
 		}
 	}
 	return Scenario{}, false
+}
+
+// Record builds and runs the scenario, writing every overheard frame to
+// w in the Kalis trace format: raw bytes re-encoded from the frame's
+// outermost decoded layer, with its ground truth (the record half of
+// §VI-A's record/replay methodology). Frames whose outermost layer
+// cannot re-encode are skipped. It returns the number of frames
+// written.
+func (sc Scenario) Record(seed int64, episodes int, w io.Writer) (int, error) {
+	run := sc.Build(seed, episodes)
+	tw := trace.NewWriter(w)
+	var werr error
+	run.Sniffer.Subscribe(func(c *packet.Captured) {
+		raw := reencode(c)
+		if raw == nil || werr != nil {
+			return
+		}
+		werr = tw.Write(&trace.Record{Time: c.Time, Medium: c.Medium, RSSI: c.RSSI, Raw: raw, Truth: c.Truth})
+	})
+	run.Sim.Run(run.End)
+	if werr != nil {
+		return tw.Count(), werr
+	}
+	return tw.Count(), tw.Flush()
+}
+
+// reencode rebuilds the raw frame from the outermost decoded layer.
+func reencode(c *packet.Captured) []byte {
+	if len(c.Layers) == 0 {
+		return nil
+	}
+	type encoder interface{ Encode() []byte }
+	if e, ok := c.Layers[0].(encoder); ok {
+		return e.Encode()
+	}
+	return nil
 }

@@ -120,11 +120,11 @@ func TestPartitionBlocksBothDirectionsUntilHeal(t *testing.T) {
 	kb2 := knowledge.NewBase("K2")
 	inj := New(9)
 	ft1 := inj.WrapTransport(hub.Endpoint("addr1"), LinkFaults{})
-	n1, err := collective.NewNode(kb1, ft1, "secret")
+	n1, err := collective.NewNode(kb1, ft1, "secret", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n2, err := collective.NewNode(kb2, hub.Endpoint("addr2"), "secret")
+	n2, err := collective.NewNode(kb2, hub.Endpoint("addr2"), "secret", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

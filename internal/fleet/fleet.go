@@ -156,7 +156,7 @@ func Run(cfg Config) (*Result, error) {
 			fts[i] = inj.WrapTransport(tr, fault.LinkFaults{Drop: cfg.LossProb})
 			tr = fts[i]
 		}
-		n, err := collective.NewNode(kbs[i], tr, "fleet-secret")
+		n, err := collective.NewNode(kbs[i], tr, "fleet-secret", nil)
 		if err != nil {
 			return nil, err
 		}

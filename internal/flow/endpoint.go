@@ -20,7 +20,7 @@ import (
 // O(1) per packet. Trackers are acquired from a Table's registry
 // (deduplicated by configuration and reference-counted, so e.g. the
 // ICMP-flood and Smurf modules share one victim window updated once per
-// packet; see Trackers for cross-shard sharing), or created standalone
+// packet; see Trackers), or created standalone
 // for direct-construction unit tests. All pruning runs on capture
 // timestamps (simclock discipline).
 
@@ -91,8 +91,7 @@ func NewVictimWindow(mask KindMask, window time.Duration) *VictimWindow {
 
 // VictimWindow acquires the table's shared victim window for the given
 // kind mask and window, creating it on first use. Release the handle
-// when done (module Deactivate). Tables sharing a registry
-// (Config.Trackers) return the same window.
+// when done (module Deactivate).
 func (t *Table) VictimWindow(mask KindMask, window time.Duration) *VictimWindow {
 	return t.trk.VictimWindow(mask, window)
 }
@@ -172,10 +171,7 @@ func (w *VictimWindow) Len(dst packet.NodeID, now time.Time) int {
 // now: the window must hold at least min matching events and the
 // owner's per-victim cooldown must have lapsed. Passing arms the
 // cooldown — even if a downstream knowledge veto then withholds the
-// alert, preserving one-alert-per-burst semantics. Threshold check and
-// cooldown arming are one critical section on the shared window, so on
-// a sharded node concurrent shard workers agree on a single alert per
-// burst per module instead of one per shard.
+// alert, preserving one-alert-per-burst semantics.
 func (w *VictimWindow) Gate(owner string, victim packet.NodeID, min int, cooldown time.Duration, now time.Time) bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -261,6 +261,18 @@ func TestTrackerDedupAndRelease(t *testing.T) {
 		t.Errorf("table did not drive tracker: Len = %d, want 1", got)
 	}
 
+	// The alert gate is per window, not per handle: the first caller
+	// arms the cooldown for every holder, and owners gate independently.
+	if !w1.Gate("mod", "v", 1, 10*time.Second, t0) {
+		t.Error("first Gate call at threshold did not pass")
+	}
+	if w2.Gate("mod", "v", 1, 10*time.Second, t0.Add(time.Millisecond)) {
+		t.Error("second Gate call within cooldown passed")
+	}
+	if !w2.Gate("other", "v", 1, 10*time.Second, t0.Add(time.Millisecond)) {
+		t.Error("distinct owner was suppressed by another owner's cooldown")
+	}
+
 	// One release keeps the shared handle alive for the other holder.
 	w2.Release()
 	c2 := cap1("atk", "v", t0.Add(time.Second))

@@ -27,12 +27,6 @@ type Config struct {
 	// selects DefaultFeatures; an explicit empty, non-nil slice runs
 	// none. Unknown names are ignored.
 	Features []string
-	// Trackers is the endpoint-tracker registry the table serves and
-	// observes. Nil creates a private one; sharded nodes pass one shared
-	// registry to every per-shard table so endpoint-keyed evidence
-	// (victim windows, handshake ledgers, identity fingerprints) stays
-	// global under source-hash sharding (see Trackers).
-	Trackers *Trackers
 }
 
 func (cfg Config) withDefaults() Config {
@@ -98,9 +92,8 @@ type Table struct {
 	// mu and iterates after unlock.
 	exports []ExportFunc
 
-	// trk is the endpoint-tracker registry (private or shared across
-	// tables, see Config.Trackers). It locks independently of t.mu and
-	// the two are never nested.
+	// trk is the table's endpoint-tracker registry. It locks
+	// independently of t.mu and the two are never nested.
 	trk *Trackers
 
 	expirations, evictions uint64
@@ -113,10 +106,7 @@ func NewTable(cfg Config) *Table {
 		cfg:     cfg,
 		flows:   make(map[Key]*Flow),
 		toSweep: cfg.SweepEvery,
-		trk:     cfg.Trackers,
-	}
-	if t.trk == nil {
-		t.trk = NewTrackers()
+		trk:     newTrackers(),
 	}
 	regMu.RLock()
 	for _, name := range cfg.Features {

@@ -10,19 +10,9 @@ import (
 
 // Trackers is the endpoint-tracker registry: victim windows, TCP
 // handshake ledgers, identity fingerprints and motion tracks,
-// deduplicated by configuration and reference-counted. Every Table
-// points at one — private by default, or shared across tables via
-// Config.Trackers.
-//
-// Sharing exists for the sharded ingestion pipeline: packets shard by
-// *source* hash, but these trackers key their evidence by victim,
-// responder or transmitter identity — under a spoofed-source flood the
-// attack traffic scatters across every shard while the victim's window
-// must still accumulate globally, or no shard ever crosses the alert
-// threshold. A sharded node therefore gives all per-shard flow tables
-// one registry: endpoint-keyed evidence is global, 5-tuple flow state
-// stays shard-local. Every tracker locks internally, so concurrent
-// Observe calls from several shard workers are safe.
+// deduplicated by configuration and reference-counted, so modules that
+// ask for the same tracker share one instance updated once per packet.
+// Every Table owns one.
 type Trackers struct {
 	mu         sync.Mutex
 	victims    map[victimKey]*VictimWindow
@@ -36,9 +26,8 @@ type Trackers struct {
 	observe atomic.Value // []Tracker
 }
 
-// NewTrackers creates an empty registry, shareable across flow tables
-// via Config.Trackers.
-func NewTrackers() *Trackers {
+// newTrackers creates an empty registry.
+func newTrackers() *Trackers {
 	return &Trackers{
 		victims:    make(map[victimKey]*VictimWindow),
 		handshakes: make(map[time.Duration]*TCPHandshakes),

@@ -10,76 +10,8 @@ import (
 	"kalis/internal/proto/tcp"
 )
 
-// TestSharedTrackersAcrossTables: tables given one registry
-// (Config.Trackers) serve the same tracker instances and all drive
-// them — the sharded-node contract, where a victim's evidence must
-// accumulate globally even though its packets hash to different
-// shards by source.
-func TestSharedTrackersAcrossTables(t *testing.T) {
-	reg := NewTrackers()
-	tblA := NewTable(Config{Features: []string{}, Trackers: reg})
-	tblB := NewTable(Config{Features: []string{}, Trackers: reg})
-	mask := MaskOf(packet.KindICMPEchoReply)
-
-	wA := tblA.VictimWindow(mask, 5*time.Second)
-	wB := tblB.VictimWindow(mask, 5*time.Second)
-	if wA != wB {
-		t.Fatal("tables sharing a registry yielded distinct victim windows")
-	}
-
-	// Spoofed-source flood split across two tables: the shared window
-	// must see every event.
-	for i := 0; i < 10; i++ {
-		src := packet.NodeID(rune('a' + i))
-		c := cap1(src, "v", t0.Add(time.Duration(i)*time.Millisecond))
-		c.Kind = packet.KindICMPEchoReply
-		if i%2 == 0 {
-			tblA.Update(c)
-		} else {
-			tblB.Update(c)
-		}
-	}
-	if got := wA.Len("v", t0.Add(time.Second)); got != 10 {
-		t.Errorf("shared window Len = %d, want 10 (evidence split across tables)", got)
-	}
-	// But 5-tuple flow state stays table-local: each table holds only
-	// the flows it updated.
-	if a, b := tblA.Len(), tblB.Len(); a != 5 || b != 5 {
-		t.Errorf("table flow counts = %d, %d, want 5, 5 (flows must stay local)", a, b)
-	}
-
-	// The gate is one critical section on the shared window: the first
-	// caller passes and arms the cooldown for every table's handle.
-	now := t0.Add(20 * time.Millisecond)
-	if !wA.Gate("mod", "v", 10, 10*time.Second, now) {
-		t.Error("first Gate call at threshold did not pass")
-	}
-	if wB.Gate("mod", "v", 10, 10*time.Second, now.Add(time.Millisecond)) {
-		t.Error("second Gate call within cooldown passed — cross-table dedup broken")
-	}
-	// Distinct owners gate independently over the same evidence.
-	if !wB.Gate("other", "v", 10, 10*time.Second, now.Add(time.Millisecond)) {
-		t.Error("distinct owner was suppressed by another owner's cooldown")
-	}
-
-	// Cross-table reference counting: one release keeps the shared
-	// instance alive, the last one detaches it.
-	wA.Release()
-	if w := tblB.VictimWindow(mask, 5*time.Second); w != wB {
-		t.Error("release of one handle detached a still-referenced tracker")
-	} else {
-		w.Release()
-	}
-	wB.Release()
-	if w := tblA.VictimWindow(mask, 5*time.Second); w == wB {
-		t.Error("fully released tracker was resurrected instead of recreated")
-	} else {
-		w.Release()
-	}
-}
-
-// TestPrivateTrackersByDefault: tables built without Config.Trackers
-// keep independent registries (the pre-sharding contract).
+// TestPrivateTrackersByDefault: every table owns its registry, so two
+// tables never share a tracker.
 func TestPrivateTrackersByDefault(t *testing.T) {
 	tblA := NewTable(Config{Features: []string{}})
 	tblB := NewTable(Config{Features: []string{}})

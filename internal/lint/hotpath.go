@@ -6,10 +6,10 @@ import (
 )
 
 // HotPath guards the per-packet budget behind the paper's §VI-B
-// overhead results. The packet path — every method named HandlePacket,
-// HandleCapture or drainShard in RootScope, plus its transitive
-// callees within WalkScope on the devirtualized call graph (see
-// callgraph.go) — must not:
+// overhead results. The packet path — every method named HandlePacket
+// or HandleCapture in RootScope, plus its transitive callees within
+// WalkScope on the devirtualized call graph (see callgraph.go) — must
+// not:
 //
 //   - format with fmt.Sprintf/fmt.Errorf (allocation and reflection per
 //     packet). Formatting inside a module.Alert composite literal is
@@ -31,18 +31,13 @@ type HotPath struct {
 	WalkScope ScopeFunc
 }
 
-// rootMethodNames seed the packet-path traversal. drainShard is the
-// sharded ingestion worker's dispatch loop: on sharded nodes every
-// packet flows through it (ring pop → Manager.HandleBatch), so it is a
-// packet-path root even though goroutine launches cut the graph walk
-// from HandleCapture to the worker body. gossipRound is the collective
-// anti-entropy fan-out: at fleet scale it fires once per beacon tick on
-// every node and its digest encode sits on the bytes-on-wire budget, so
-// it is policed like the packet path.
+// rootMethodNames seed the packet-path traversal. gossipRound is the
+// collective anti-entropy fan-out: at fleet scale it fires once per
+// beacon tick on every node and its digest encode sits on the
+// bytes-on-wire budget, so it is policed like the packet path.
 var rootMethodNames = map[string]bool{
 	"HandlePacket":  true,
 	"HandleCapture": true,
-	"drainShard":    true,
 	"gossipRound":   true,
 }
 

@@ -91,8 +91,8 @@ func DefaultAnalyzers() []Analyzer {
 		)},
 		&BusTopic{Scope: AllPackages},
 		&HotPath{
-			RootScope: PathScope("kalis/internal/core", "kalis/internal/ingest"),
-			WalkScope: PathScope("kalis/internal/core", "kalis/internal/flow", "kalis/internal/ingest"),
+			RootScope: PathScope("kalis/internal/core"),
+			WalkScope: PathScope("kalis/internal/core", "kalis/internal/flow"),
 		},
 		&NoPanic{
 			Scope: PathScope("kalis/internal", "kalis/cmd", "kalis/examples"),
@@ -102,8 +102,8 @@ func DefaultAnalyzers() []Analyzer {
 		},
 		&ErrCheck{Scope: PathScope("kalis/internal/core", "kalis/internal/persist", "kalis/internal/proto", "kalis/cmd", "kalis/examples")},
 		&HotAlloc{
-			RootScope: PathScope("kalis/internal/core", "kalis/internal/ingest"),
-			WalkScope: PathScope("kalis/internal/core", "kalis/internal/flow", "kalis/internal/ingest"),
+			RootScope: PathScope("kalis/internal/core"),
+			WalkScope: PathScope("kalis/internal/core", "kalis/internal/flow"),
 		},
 		&LockOrder{Scope: PathScope("kalis/internal")},
 		&Taint{Scope: PathScope("kalis/internal/core", "kalis/internal/flow")},

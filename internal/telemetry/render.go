@@ -37,10 +37,6 @@ func writePromEntry(w io.Writer, e *entry) {
 		for _, kv := range sortedChildren(&impl.children) {
 			fmt.Fprintf(w, "%s{%s=%q} %d\n", e.name, e.label, kv.key, kv.val.(*Counter).Value())
 		}
-	case *GaugeVec:
-		for _, kv := range sortedChildren(&impl.children) {
-			fmt.Fprintf(w, "%s{%s=%q} %d\n", e.name, e.label, kv.key, kv.val.(*Gauge).Value())
-		}
 	case *HistogramVec:
 		for _, kv := range sortedChildren(&impl.children) {
 			pair := fmt.Sprintf("%s=%q", e.label, kv.key)

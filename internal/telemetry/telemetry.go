@@ -143,35 +143,6 @@ func (v *CounterVec) With(value string) *Counter {
 	return c
 }
 
-// GaugeVec is a family of Gauges partitioned by one label (shard
-// index, ...). Children are created on first use and live forever;
-// With on an existing child is a lock-free map read. Hot-path callers
-// pre-resolve children at wiring time and cache the *Gauge.
-type GaugeVec struct {
-	label    string
-	mu       sync.Mutex
-	children sync.Map // label value -> *Gauge
-}
-
-// With returns the child gauge for the given label value, creating it
-// on first use.
-func (v *GaugeVec) With(value string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	if g, ok := v.children.Load(value); ok {
-		return g.(*Gauge)
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if g, ok := v.children.Load(value); ok {
-		return g.(*Gauge)
-	}
-	g := &Gauge{}
-	v.children.Store(value, g)
-	return g
-}
-
 // HistogramVec is a family of Histograms partitioned by one label.
 type HistogramVec struct {
 	label    string
@@ -293,23 +264,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 		name: name, help: help, kind: kindGauge, impl: g,
 		snap: func() interface{} { return g.Value() },
 	}).(*Gauge)
-}
-
-// GaugeVec registers (or returns the existing) gauge family
-// partitioned by the given label name.
-func (r *Registry) GaugeVec(name, label, help string) *GaugeVec {
-	v := &GaugeVec{label: label}
-	return r.register(&entry{
-		name: name, help: help, kind: kindGauge, label: label, impl: v,
-		snap: func() interface{} {
-			out := make(map[string]interface{})
-			v.children.Range(func(k, g interface{}) bool {
-				out[k.(string)] = g.(*Gauge).Value()
-				return true
-			})
-			return out
-		},
-	}).(*GaugeVec)
 }
 
 // GaugeFunc registers a gauge whose value is computed by fn at

@@ -51,7 +51,6 @@ func TestNilMetricsAreSafe(t *testing.T) {
 	var g *Gauge
 	var h *Histogram
 	var cv *CounterVec
-	var gv *GaugeVec
 	var hv *HistogramVec
 	c.Inc()
 	c.Add(3)
@@ -59,7 +58,6 @@ func TestNilMetricsAreSafe(t *testing.T) {
 	g.Add(1)
 	h.Observe(time.Millisecond)
 	cv.With("x").Inc()
-	gv.With("x").Set(2)
 	hv.With("x").Observe(time.Millisecond)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
 		t.Error("nil metrics must read zero")
@@ -105,36 +103,6 @@ func TestVecChildrenAreStable(t *testing.T) {
 	v.With("detection").Add(2)
 	if a.Value() != 1 || v.With("detection").Value() != 2 {
 		t.Error("children must track independently")
-	}
-}
-
-func TestGaugeVec(t *testing.T) {
-	r := NewRegistry()
-	v := r.GaugeVec("kalis_ingest_queue_depth", "shard", "Per-shard queue depth.")
-	a := v.With("0")
-	if b := v.With("0"); a != b {
-		t.Error("With must return the same child for the same label value")
-	}
-	a.Set(7)
-	v.With("1").Set(3)
-	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{
-		"# TYPE kalis_ingest_queue_depth gauge",
-		`kalis_ingest_queue_depth{shard="0"} 7`,
-		`kalis_ingest_queue_depth{shard="1"} 3`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q in:\n%s", want, out)
-		}
-	}
-	snap := r.Snapshot()["kalis_ingest_queue_depth"]
-	children, ok := snap.Value.(map[string]interface{})
-	if !ok || children["0"].(int64) != 7 || children["1"].(int64) != 3 {
-		t.Errorf("JSON snapshot = %#v, want per-shard values 7 and 3", snap.Value)
 	}
 }
 

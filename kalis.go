@@ -38,7 +38,6 @@ import (
 	"kalis/internal/core/module"
 	"kalis/internal/core/response"
 	"kalis/internal/flow"
-	"kalis/internal/ingest"
 	"kalis/internal/packet"
 	"kalis/internal/siem"
 	"kalis/internal/telemetry"
@@ -77,11 +76,6 @@ type (
 	// FlowKey identifies one unidirectional flow (medium + endpoints +
 	// protocol class + ports).
 	FlowKey = flow.Key
-	// IngestStats is the sharded ingestion pipeline's packet
-	// accounting: Enqueued == Accepted + Dropped always, and
-	// Accepted == Delivered at every quiescent point (after
-	// DrainIngest or Close).
-	IngestStats = ingest.Stats
 )
 
 // DefaultResponsePolicy isolates on high-confidence alerts with the
@@ -156,56 +150,6 @@ func WithPersistInterval(d time.Duration) Option {
 	return func(c *core.Config) { c.PersistInterval = d }
 }
 
-// WithShards selects the ingestion parallelism. n <= 1 keeps the
-// default synchronous in-line dispatch (deterministic: HandleCapture
-// returns only after every module saw the packet). n > 1 runs n shard
-// pipelines — per-shard ring buffer, worker, Data Store window, flow
-// table and module instances — sharded by hash of the packet source,
-// so per-source detector state and per-source capture order stay
-// intact while aggregate throughput scales with cores. Pass
-// runtime.NumCPU() for the usual live deployment. In sharded mode
-// HandleCapture only enqueues; call DrainIngest (or Close) before
-// reading alerts or counters after a replay.
-func WithShards(n int) Option {
-	return func(c *core.Config) { c.Shards = n }
-}
-
-// WithIngestRing sets the per-shard ring capacity in packets (rounded
-// up to a power of two; default 4096). Only meaningful with
-// WithShards(n > 1).
-func WithIngestRing(n int) Option {
-	return func(c *core.Config) { c.IngestRing = n }
-}
-
-// WithIngestBatch caps how many packets a shard worker dispatches per
-// batch (default 256). Only meaningful with WithShards(n > 1).
-func WithIngestBatch(n int) Option {
-	return func(c *core.Config) { c.IngestBatch = n }
-}
-
-// WithIngestBlocking selects lossless ingestion backpressure: a full
-// shard ring makes HandleCapture spin until space frees instead of
-// dropping the packet. The default drop-newest policy matches a
-// passive IDS (never block capture); blocking mode is for offline
-// replay and benchmarks where every packet must be observed. Only
-// meaningful with WithShards(n > 1).
-func WithIngestBlocking() Option {
-	return func(c *core.Config) { c.IngestBlock = true }
-}
-
-// WithIngestMaxSkew bounds, in capture time, how far the ingestion
-// feed may run ahead of the slowest shard that still has queued work.
-// An accelerated replay can otherwise hand one shard worker a whole
-// trace before another is scheduled, so traffic-derived knowledge (and
-// the module activations it drives) lags entire attack episodes behind
-// the racing shard. Live capture does not need it — arrival time
-// tracks capture time, so skew is physically bounded by queue depth.
-// Only meaningful with WithShards(n > 1) and WithIngestBlocking; 0
-// disables pacing.
-func WithIngestMaxSkew(d time.Duration) Option {
-	return func(c *core.Config) { c.IngestMaxSkew = d }
-}
-
 // Node is one Kalis IDS node.
 type Node struct {
 	inner *core.Kalis
@@ -237,20 +181,13 @@ func (n *Node) ID() string { return n.inner.ID() }
 // live capture source or to trace replay.
 func (n *Node) HandleCapture(c *Captured) { n.inner.HandleCapture(c) }
 
-// DrainIngest blocks until every packet the shard rings accepted so
-// far has been dispatched to the modules. A no-op on unsharded nodes.
-func (n *Node) DrainIngest() { n.inner.DrainIngest() }
+// DrainIngest returns once every packet passed to HandleCapture has
+// been dispatched to the modules. Synchronous events dispatch inside
+// HandleCapture, so it returns at once; under WithAsyncEvents
+// dispatch runs on the bus goroutine and Close is what drains it.
+func (n *Node) DrainIngest() {}
 
-// IngestStats returns the sharded ingestion pipeline's packet
-// accounting (the zero value on unsharded nodes).
-func (n *Node) IngestStats() IngestStats { return n.inner.IngestStats() }
-
-// Shards returns the node's ingestion shard count (1 when unsharded).
-func (n *Node) Shards() int { return n.inner.Shards() }
-
-// OnAlert registers a consumer for detection events. On sharded nodes
-// callbacks are invoked from shard worker goroutines (possibly
-// concurrently); synchronize any shared state they touch.
+// OnAlert registers a consumer for detection events.
 func (n *Node) OnAlert(fn func(Alert)) { n.inner.OnAlert(fn) }
 
 // OnKnowledge registers a consumer for Knowledge Base changes.

@@ -145,6 +145,26 @@ func TestFacadeCustomModule(t *testing.T) {
 	}
 }
 
+// TestUnshardedStaysSynchronous pins the dispatch contract: every
+// module has seen a packet when HandleCapture returns, with no drain
+// needed.
+func TestUnshardedStaysSynchronous(t *testing.T) {
+	node, err := New(WithoutDefaultModules())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	mod := &countingModule{}
+	node.RegisterModule("CountingModule", func(map[string]string) (Module, error) { return mod, nil })
+	if err := node.InstallModule("CountingModule", nil); err != nil {
+		t.Fatal(err)
+	}
+	node.HandleCapture(capOf(t, packet.MediumIEEE802154, stack.BuildCTPBeacon(2, 1, 10, 0), tEpoch, -60))
+	if mod.packets != 1 {
+		t.Fatalf("synchronous dispatch must complete within HandleCapture; module saw %d packets", mod.packets)
+	}
+}
+
 func TestFacadeTraceRoundTrip(t *testing.T) {
 	// Record with one node, replay into another — the §VI-A
 	// methodology through the public API.
