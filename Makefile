@@ -30,7 +30,7 @@ vet:
 	$(GO) vet ./...
 
 # Fault-scenario suite under the race detector: the scripted chaos
-# drill (partition + module panic + knowledge burst, see chaos_test.go),
+# drill (partition + module panic + quarantine recovery, see chaos_test.go),
 # the crash-recovery drill (dirty crash mid-journal-write, warm vs cold
 # time-to-redetection, see crash_drill_test.go), plus the
 # fault-injection, supervision, collective-resilience and persistence

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"kalis/internal/core/datastore"
-	"kalis/internal/core/event"
 	"kalis/internal/core/knowledge"
 	"kalis/internal/core/module"
 	"kalis/internal/eval"
@@ -280,27 +279,6 @@ func BenchmarkAblationWindowSize(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkAblationBusMode compares synchronous vs asynchronous event
-// delivery (§V event-driven architecture).
-func BenchmarkAblationBusMode(b *testing.B) {
-	for _, async := range []bool{false, true} {
-		name := "sync"
-		if async {
-			name = "async"
-		}
-		b.Run(name, func(b *testing.B) {
-			bus := event.NewBus(async)
-			sink := 0
-			bus.Subscribe(event.TopicPacket, func(interface{}) { sink++ })
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				bus.Publish(event.TopicPacket, i)
-			}
-			bus.Close()
 		})
 	}
 }

@@ -10,8 +10,6 @@ import (
 	"kalis/internal/core/detection"
 	"kalis/internal/core/knowledge"
 	"kalis/internal/eval"
-	"kalis/internal/packet"
-	"kalis/internal/proto/stack"
 )
 
 // TestFacadeCollectiveUDP runs two Kalis nodes with encrypted UDP
@@ -182,23 +180,5 @@ func TestFacadeResponder(t *testing.T) {
 	}
 	if audit := r.Audit(); len(audit) == 0 {
 		t.Error("no audit entries")
-	}
-}
-
-func TestFacadeAsyncEvents(t *testing.T) {
-	node, err := New(WithAsyncEvents())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 40; i++ {
-		node.HandleCapture(capOf(t, packet.MediumIEEE802154,
-			stack.BuildCTPData(3, 2, 3, uint8(i), 1, 20, []byte{0x01, uint8(i)}),
-			tEpoch.Add(time.Duration(i)*3*time.Second), -65))
-	}
-	if err := node.Close(); err != nil { // drains
-		t.Fatal(err)
-	}
-	if len(node.Alerts()) == 0 {
-		t.Error("async pipeline produced no alerts")
 	}
 }

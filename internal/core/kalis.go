@@ -38,10 +38,6 @@ type Config struct {
 	// WindowSize is the Data Store sliding-window capacity (packets);
 	// 0 selects the default.
 	WindowSize int
-	// Async selects asynchronous event delivery (the paper's
-	// "all components run independently" mode); synchronous delivery
-	// is deterministic and is the default for experiments.
-	Async bool
 	// ConfigText is an optional configuration file in the Fig. 6
 	// grammar: module activations and a-priori knowggets.
 	ConfigText string
@@ -69,7 +65,7 @@ type Config struct {
 
 // Kalis is one IDS node. One Data Store, one flow table and one
 // Module Manager own all module state; packets are dispatched inside
-// HandleCapture (or on the packet-topic subscriber with Config.Async).
+// HandleCapture.
 type Kalis struct {
 	id       string
 	kb       *knowledge.Base
@@ -102,41 +98,11 @@ func New(cfg Config) (*Kalis, error) {
 	store := datastore.New(cfg.WindowSize)
 	table := flow.NewTable(cfg.Flow)
 	manager := module.NewManager(kb, store, cfg.KnowledgeDriven)
-	bus := event.NewBus(cfg.Async)
-	// Per-topic overflow policies (async mode): the packet topic keeps
-	// the default drop-newest (a passive IDS never blocks capture),
-	// knowledge events coalesce per knowgget key (only the latest value
-	// of a knowgget matters), and detection events are lossless — a
-	// dropped alert is a missed detection.
-	bus.SetTopicPolicy(event.TopicKnowledge, event.TopicPolicy{
-		Policy: event.CoalesceByKey,
-		Key: func(payload interface{}) string {
-			if kg, ok := payload.(knowledge.Knowgget); ok {
-				return kg.Key()
-			}
-			return ""
-		},
-	})
-	bus.SetTopicPolicy(event.TopicDetection, event.TopicPolicy{Policy: event.Block})
-	// Flow records coalesce per flow key: if a consumer lags, only the
-	// latest record for a given flow is kept (a re-expired flow
-	// supersedes its earlier record).
-	bus.SetTopicPolicy(event.TopicFlowRecords, event.TopicPolicy{
-		Policy: event.CoalesceByKey,
-		Key: func(payload interface{}) string {
-			if r, ok := payload.(flow.Record); ok {
-				return r.CoalesceKey()
-			}
-			return ""
-		},
-	})
+	bus := event.NewBus()
 	//lint:ignore hotalloc flow records box once per export (expiry/eviction), amortized across the flow's packets
 	table.OnExport(func(r flow.Record) { bus.Publish(event.TopicFlowRecords, r) })
 	tel := telemetry.NewRegistry()
 	wireTelemetry(tel, bus, manager, store, table)
-	// The supervisor's circuit breaker reads queue pressure from the
-	// bus; under saturation it sheds persistently-over-budget modules.
-	manager.SetPressure(bus.QueueDepth)
 
 	k := &Kalis{
 		id:       cfg.NodeID,
@@ -173,7 +139,7 @@ func New(cfg Config) (*Kalis, error) {
 	bus.Subscribe(event.TopicPacket, func(payload interface{}) {
 		if c, ok := payload.(*packet.Captured); ok {
 			k.dispatchMu.Lock()
-			//lint:ignore lockorder dispatchMu is the module-state owner lock: only this subscriber and the collective's KB writes take it, and no bus consumer does, so a blocked publish never waits on its holder
+			//lint:ignore lockorder dispatchMu is the module-state owner lock: only this subscriber and the collective's KB writes take it, and no bus consumer does, so an inline publish under it never re-enters it
 			manager.HandlePacket(c)
 			if k.persist != nil {
 				// Compaction runs on the capture clock, like every
@@ -230,16 +196,7 @@ func wireTelemetry(tel *telemetry.Registry, bus *event.Bus, manager *module.Mana
 	bus.SetMetrics(event.Metrics{
 		Publishes: tel.CounterVec("kalis_bus_publishes_total", "topic",
 			"Events published on the bus, by topic."),
-		Drops: tel.CounterVec("kalis_bus_drops_total", "topic",
-			"Events lost to full async subscriber queues, by topic."),
-		Coalesced: tel.CounterVec("kalis_bus_coalesced_total", "topic",
-			"Events absorbed by per-key coalescing (replaced, not lost), by topic."),
-		Watermarks: tel.CounterVec("kalis_bus_watermark_total", "topic",
-			"High-watermark crossings on lossless (Block-policy) topics."),
 	})
-	tel.GaugeFunc("kalis_bus_queue_depth",
-		"Events queued across async subscribers (0 in sync mode).",
-		func() float64 { return float64(bus.QueueDepth()) })
 	manager.SetMetrics(module.ManagerMetrics{
 		Packets: tel.Counter("kalis_packets_total",
 			"Packets dispatched to the module pipeline."),
@@ -250,9 +207,7 @@ func wireTelemetry(tel *telemetry.Registry, bus *event.Bus, manager *module.Mana
 		Panics: tel.CounterVec("kalis_module_panics_total", "module",
 			"Module panics recovered by the supervisor, by module."),
 		Quarantined: tel.Gauge("kalis_module_quarantined",
-			"Modules currently withheld from dispatch (quarantined or shed)."),
-		BreakerTrips: tel.Counter("kalis_breaker_trips_total",
-			"Latency circuit-breaker trips (modules shed under queue pressure)."),
+			"Modules currently withheld from dispatch after a panic."),
 	})
 	store.SetMetrics(datastore.StoreMetrics{
 		Appended: tel.Counter("kalis_store_appended_total",
@@ -308,8 +263,8 @@ func (k *Kalis) Install(name string, params map[string]string) error {
 }
 
 // HandleCapture feeds one captured packet into the node — the entry
-// point wired to sniffers and trace replay. With synchronous events
-// every module has seen the packet when it returns.
+// point wired to sniffers and trace replay. Every module has seen the
+// packet when it returns.
 func (k *Kalis) HandleCapture(c *packet.Captured) {
 	k.bus.Publish(event.TopicPacket, c)
 }
@@ -339,16 +294,12 @@ func (k *Kalis) Alerts() []module.Alert { return k.manager.Alerts() }
 func (k *Kalis) ActiveModules() []string { return k.manager.Active() }
 
 // QuarantinedModules returns the modules the supervisor currently
-// withholds from dispatch (panicked or shed by the circuit breaker).
+// withholds from dispatch after a panic.
 func (k *Kalis) QuarantinedModules() []string { return k.manager.Quarantined() }
 
 // ModuleHealth reports every installed module's activation and
-// supervision state ("inactive", "healthy", "quarantined", "probing",
-// "shed").
+// supervision state ("inactive", "healthy", "quarantined", "probing").
 func (k *Kalis) ModuleHealth() map[string]string { return k.manager.Health() }
-
-// Bus returns the node's event bus (for policy tuning and tests).
-func (k *Kalis) Bus() *event.Bus { return k.bus }
 
 // Flows returns the node's flow table.
 func (k *Kalis) Flows() *flow.Table { return k.flows }
@@ -447,7 +398,7 @@ func (k *Kalis) SuggestConfig() string {
 func (k *Kalis) Persistence() *persist.Manager { return k.persist }
 
 // Close shuts the node down: the flow table flushes its remaining
-// flows as records, the event bus drains, the traffic log flushes and
+// flows as records, the event bus closes, the traffic log flushes and
 // closes, durable state takes its final snapshot, and the collective
 // layer closes.
 func (k *Kalis) Close() error {

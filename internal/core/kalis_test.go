@@ -115,24 +115,6 @@ func TestEndToEndKnowledgeActivationAlert(t *testing.T) {
 	}
 }
 
-func TestAsyncModeDeliversEverything(t *testing.T) {
-	k, err := New(Config{NodeID: "K1", KnowledgeDriven: true, InstallAll: true, Async: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		at := t0.Add(time.Duration(i) * time.Second)
-		k.HandleCapture(mkCap(t, packet.MediumIEEE802154,
-			stack.BuildCTPData(3, 2, 3, uint8(i), 1, 20, []byte{0x01, uint8(i)}), at, -65))
-	}
-	if err := k.Close(); err != nil { // drains the async bus
-		t.Fatal(err)
-	}
-	if k.Store().Total() != 50 {
-		t.Errorf("total = %d, want 50 after drain", k.Store().Total())
-	}
-}
-
 func TestTrafficLogging(t *testing.T) {
 	k, err := New(Config{NodeID: "K1", KnowledgeDriven: true, InstallAll: true})
 	if err != nil {

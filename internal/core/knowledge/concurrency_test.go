@@ -7,8 +7,9 @@ import (
 )
 
 // TestConcurrentAccess hammers the Knowledge Base from writers,
-// readers and subscribers at once; run with -race. The Base backs an
-// async event-bus deployment, so it must be safe under concurrency.
+// readers and subscribers at once; run with -race. Packet dispatch and
+// the collective's socket goroutine both write the Base, so it must be
+// safe under concurrency.
 func TestConcurrentAccess(t *testing.T) {
 	b := NewBase("K1")
 	b.Subscribe("TrafficFrequency", func(Knowgget) {})

@@ -261,20 +261,22 @@ func (b *Base) PutFloat(label string, v float64) bool {
 // PutBoolDefault stores an absence-default boolean: a sensing module's
 // declaration that, having watched enough traffic without evidence of
 // a feature, the feature is absent. Unlike PutBool it never overwrites
-// an evidence-backed value — on a sharded node each shard runs its own
-// sensing instances over a partition of the traffic, and one shard's
-// "never saw multihop forwarding" must not clobber another shard's
-// forwarding-chain proof. Defaults may replace defaults; any regular
-// Put pins the key so later defaults are ignored. Provenance is kept
-// in memory only, so values restored from a snapshot count as pinned.
+// an evidence-backed value. After a warm restart the Base holds
+// evidence restored from the previous run, while freshly activated
+// sensing modules start from zero; their "never saw multihop
+// forwarding" must not clobber the restored forwarding-chain proof.
+// Defaults may replace defaults; any regular Put pins the key so later
+// defaults are ignored. Provenance is kept in memory only, so values
+// restored from a snapshot count as pinned.
 func (b *Base) PutBoolDefault(label string, v bool) bool {
 	return b.storeWith(Knowgget{Label: label, Value: strconv.FormatBool(v), Creator: b.local}, putDefault)
 }
 
 // PutIntMax stores an integer-valued local knowgget only if the label
-// is unset or v exceeds the stored value. Per-shard sensing instances
-// each count their own traffic partition; a shared high-water mark is
-// a sound lower bound on the union where last-writer-wins is not.
+// is unset or v exceeds the stored value. A sensing module restarted
+// over a restored Base recounts from zero; a high-water mark keeps the
+// restored count as a lower bound where last-writer-wins would
+// undercount until the module has seen the whole population again.
 func (b *Base) PutIntMax(label string, v int) bool {
 	return b.storeWith(Knowgget{Label: label, Value: strconv.Itoa(v), Creator: b.local}, putMax)
 }

@@ -309,9 +309,9 @@ func TestKeySeparatorEscaping(t *testing.T) {
 
 // TestDefaultVsEvidence: absence-defaults (PutBoolDefault) never
 // overwrite evidence (Put*), evidence always overwrites defaults, and
-// defaults may replace defaults. On a sharded node per-shard sensing
-// instances see only a partition of the traffic, so one shard's "no
-// evidence seen" declaration must not clobber another's proof.
+// defaults may replace defaults. A sensing module freshly activated
+// after a warm restart has seen no evidence yet, so its "no evidence
+// seen" declaration must not clobber restored proof.
 func TestDefaultVsEvidence(t *testing.T) {
 	b := NewBase("K1")
 
@@ -351,8 +351,9 @@ func TestDefaultVsEvidence(t *testing.T) {
 	}
 }
 
-// TestPutIntMax: high-water-mark writes are monotonic, so per-shard
-// instances each publishing their own count cannot regress the label.
+// TestPutIntMax: high-water-mark writes are monotonic, so a sensing
+// module recounting from zero after a warm restart cannot regress the
+// label.
 func TestPutIntMax(t *testing.T) {
 	b := NewBase("K1")
 	if !b.PutIntMax("MonitoredNodes", 5) {

@@ -28,9 +28,7 @@ type AlertFunc func(Alert)
 //
 // The manager is also the module supervisor (see supervisor.go): a
 // panicking module is quarantined and re-admitted after clean probes
-// instead of killing the node, and a latency circuit breaker sheds
-// persistently-over-budget modules while the pipeline is under queue
-// pressure.
+// instead of killing the node.
 type Manager struct {
 	kb    *knowledge.Base
 	store *datastore.Store
@@ -52,8 +50,8 @@ type Manager struct {
 	// (when false HandlePacket skips the clock reads too).
 	timed bool
 
-	// degraded counts modules currently quarantined or shed; the
-	// supervisor's revival scan runs only while it is non-zero.
+	// degraded counts modules currently quarantined; the supervisor's
+	// revival scan runs only while it is non-zero.
 	degraded int
 
 	// flows is the node's flow table, updated once per packet before
@@ -71,8 +69,7 @@ type Manager struct {
 	// activation).
 	pendingHealth []healthEvent
 
-	sup      SupervisorConfig
-	pressure func() int
+	sup SupervisorConfig
 
 	// Work accounting, the basis of the CPU-usage comparison: every
 	// (packet, active module) pair costs one invocation.
@@ -109,10 +106,8 @@ type ManagerMetrics struct {
 	// Panics counts recovered module panics, by module name.
 	Panics *telemetry.CounterVec
 	// Quarantined tracks the number of modules currently withheld from
-	// dispatch by the supervisor (quarantined or shed).
+	// dispatch by the supervisor after a panic.
 	Quarantined *telemetry.Gauge
-	// BreakerTrips counts latency-circuit-breaker trips.
-	BreakerTrips *telemetry.Counter
 }
 
 // NewManager creates a manager bound to a Knowledge Base and Data
@@ -165,14 +160,14 @@ func (m *Manager) resolveStateLocked(st *moduleState, name string) {
 // rebuildSnapLocked recomputes the dispatchable-module snapshot,
 // resolving each module's latency histogram child once — off the
 // packet path. A module is dispatched when its knowledge predicate
-// wants it active and the supervisor holds it neither quarantined nor
-// shed. Callers must hold m.mu.
+// wants it active and the supervisor does not hold it quarantined.
+// Callers must hold m.mu.
 func (m *Manager) rebuildSnapLocked() {
 	m.timed = m.met.PacketLatency != nil
 	snap := make([]activeEntry, 0, len(m.modules))
 	for _, mod := range m.modules {
 		st := m.states[mod.Name()]
-		if !st.want || (st.health != stateHealthy && st.health != stateProbing) {
+		if !st.want || st.health == stateQuarantined {
 			continue
 		}
 		e := activeEntry{mod: mod, st: st, probing: st.health == stateProbing}
@@ -298,8 +293,8 @@ func (m *Manager) emit(a Alert) {
 // supervisor's panic barrier. The snapshot is immutable, so the
 // per-packet work is one lock round-trip, the flow update and the
 // module invocations themselves — no allocation, no telemetry child
-// lookups. Supervision bookkeeping (revival scans, breaker evaluation)
-// runs on the virtual capture clock and only when armed.
+// lookups. The supervisor's revival scan runs on the virtual capture
+// clock and only while a module is quarantined.
 func (m *Manager) HandlePacket(c *packet.Captured) {
 	// Data Store append errors surface only when disk logging is
 	// enabled; the window append itself cannot fail. A passive IDS
@@ -310,9 +305,6 @@ func (m *Manager) HandlePacket(c *packet.Captured) {
 	m.packets++
 	if m.degraded > 0 {
 		m.reviveLocked(c.Time)
-	}
-	if m.pressure != nil && m.sup.BreakerWindow > 0 && m.packets%uint64(m.sup.BreakerWindow) == 0 {
-		m.breakerLocked(c.Time)
 	}
 	snap := m.snap
 	timed := m.timed

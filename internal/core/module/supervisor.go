@@ -21,7 +21,6 @@ import (
 //	healthy ──panic──▶ quarantined ──backoff elapses──▶ probing
 //	probing ──ProbePackets clean packets──▶ healthy (strikes reset)
 //	probing ──panic──▶ quarantined (backoff doubles)
-//	healthy ──breaker trip──▶ shed ──backoff + pressure subsides──▶ healthy
 //
 // All timing runs on the virtual capture clock (packet timestamps), so
 // simulated scenarios exercise the full state machine deterministically
@@ -39,9 +38,6 @@ const (
 	// stateProbing modules are back on the packet stream on probation:
 	// ProbePackets clean invocations re-admit them fully.
 	stateProbing
-	// stateShed modules were tripped by the latency circuit breaker and
-	// are withheld until the backoff elapses and queue pressure drops.
-	stateShed
 )
 
 // String returns the health-state name used by Health and diagnostics.
@@ -53,8 +49,6 @@ func (h moduleHealth) String() string {
 		return "quarantined"
 	case stateProbing:
 		return "probing"
-	case stateShed:
-		return "shed"
 	default:
 		return "unknown"
 	}
@@ -114,18 +108,12 @@ type moduleState struct {
 	// Supervision.
 	health    moduleHealth
 	strikes   int       // consecutive quarantines; backoff exponent
-	until     time.Time // virtual re-admission time (quarantine/shed)
+	until     time.Time // virtual re-admission time after quarantine
 	probeLeft int       // clean packets remaining in probation
 	lastPanic string    // last recovered panic value, for diagnostics
 
 	// Pre-resolved telemetry child (see resolveStateLocked).
 	panics *telemetry.Counter
-
-	// Breaker bookkeeping: the windowed latency mean is computed from
-	// deltas over the module's existing telemetry histogram.
-	lastCount uint64
-	lastSum   time.Duration
-	over      int // consecutive over-budget windows
 }
 
 // SupervisorConfig tunes the module supervisor. The zero value disables
@@ -140,35 +128,14 @@ type SupervisorConfig struct {
 	// ProbePackets is how many clean packets a probing module must
 	// survive before it is fully re-admitted (strikes reset).
 	ProbePackets int
-	// BreakerBudget is the per-packet latency budget; a module whose
-	// mean over an evaluation window exceeds it while the pipeline is
-	// under pressure accumulates a strike.
-	BreakerBudget time.Duration
-	// BreakerWindow is the packet interval between breaker evaluations
-	// (0 disables the breaker).
-	BreakerWindow int
-	// BreakerStrikes is how many consecutive over-budget windows trip
-	// the breaker.
-	BreakerStrikes int
-	// PressureThreshold is the queue depth (from the pressure hook) at
-	// or above which the pipeline counts as under pressure.
-	PressureThreshold int
-	// ShedBackoff is how long (virtual time) a breaker-shed module
-	// stays out before re-admission is considered.
-	ShedBackoff time.Duration
 }
 
 // DefaultSupervisorConfig returns the production supervisor tuning.
 func DefaultSupervisorConfig() SupervisorConfig {
 	return SupervisorConfig{
-		Backoff:           5 * time.Second,
-		MaxBackoff:        5 * time.Minute,
-		ProbePackets:      32,
-		BreakerBudget:     2 * time.Millisecond,
-		BreakerWindow:     256,
-		BreakerStrikes:    3,
-		PressureThreshold: 512,
-		ShedBackoff:       30 * time.Second,
+		Backoff:      5 * time.Second,
+		MaxBackoff:   5 * time.Minute,
+		ProbePackets: 32,
 	}
 }
 
@@ -178,15 +145,6 @@ func (m *Manager) SetSupervisor(cfg SupervisorConfig) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.sup = cfg
-}
-
-// SetPressure installs the queue-pressure hook feeding the latency
-// circuit breaker (typically the event bus' QueueDepth). The breaker
-// stays disarmed until a hook is installed.
-func (m *Manager) SetPressure(fn func() int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.pressure = fn
 }
 
 // invoke runs one module's HandlePacket under the supervisor's panic
@@ -274,32 +232,13 @@ func (m *Manager) backoffLocked(strikes int) time.Duration {
 }
 
 // reviveLocked re-admits quarantined modules whose backoff elapsed
-// (into probation) and shed modules once their backoff elapsed and the
-// queue pressure subsided. Runs under m.mu, only while degraded > 0.
+// (into probation). Runs under m.mu, only while degraded > 0.
 func (m *Manager) reviveLocked(now time.Time) {
 	changed := false
 	for _, st := range m.states {
-		switch st.health {
-		case stateQuarantined:
-			if !now.Before(st.until) {
-				st.health = stateProbing
-				st.probeLeft = m.sup.ProbePackets
-				m.degraded--
-				m.noteHealthLocked(st)
-				changed = true
-			}
-		case stateShed:
-			if now.Before(st.until) {
-				continue
-			}
-			if m.pressure != nil && m.pressure() >= m.sup.PressureThreshold {
-				// Still saturated: stay out for another backoff period
-				// rather than rescanning every packet.
-				st.until = now.Add(m.sup.ShedBackoff)
-				continue
-			}
-			st.health = stateHealthy
-			st.over = 0
+		if st.health == stateQuarantined && !now.Before(st.until) {
+			st.health = stateProbing
+			st.probeLeft = m.sup.ProbePackets
 			m.degraded--
 			m.noteHealthLocked(st)
 			changed = true
@@ -335,56 +274,14 @@ func (m *Manager) probeOK(st *moduleState) {
 	}
 }
 
-// breakerLocked is the latency circuit breaker: fed by the per-module
-// telemetry histograms, it sheds modules whose windowed mean latency
-// stays over budget while the pipeline is under queue pressure — the
-// ROADMAP's knowledge-driven load shedding. Runs under m.mu every
-// BreakerWindow packets.
-func (m *Manager) breakerLocked(now time.Time) {
-	under := m.pressure() >= m.sup.PressureThreshold
-	changed := false
-	for _, e := range m.snap {
-		if e.lat == nil || e.st.health != stateHealthy {
-			continue
-		}
-		st := e.st
-		count, sum := e.lat.Count(), e.lat.Sum()
-		dc := count - st.lastCount
-		ds := sum - st.lastSum
-		st.lastCount, st.lastSum = count, sum
-		if !under || dc == 0 {
-			st.over = 0
-			continue
-		}
-		if ds/time.Duration(dc) > m.sup.BreakerBudget {
-			st.over++
-		} else {
-			st.over = 0
-		}
-		if st.over >= m.sup.BreakerStrikes {
-			st.over = 0
-			st.health = stateShed
-			st.until = now.Add(m.sup.ShedBackoff)
-			m.degraded++
-			m.met.BreakerTrips.Inc()
-			m.noteHealthLocked(st)
-			changed = true
-		}
-	}
-	if changed {
-		m.met.Quarantined.Set(int64(m.degraded))
-		m.rebuildSnapLocked()
-	}
-}
-
 // Quarantined returns the names of modules currently withheld from
-// dispatch by the supervisor (quarantined or shed), in install order.
+// dispatch by the supervisor (quarantined), in install order.
 func (m *Manager) Quarantined() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var out []string
 	for _, mod := range m.modules {
-		if h := m.states[mod.Name()].health; h == stateQuarantined || h == stateShed {
+		if m.states[mod.Name()].health == stateQuarantined {
 			out = append(out, mod.Name())
 		}
 	}
@@ -393,7 +290,7 @@ func (m *Manager) Quarantined() []string {
 
 // Health reports every installed module's activation/supervision state:
 // "inactive" when the knowledge predicate does not want it, otherwise
-// the supervision state ("healthy", "quarantined", "probing", "shed").
+// the supervision state ("healthy", "quarantined", "probing").
 func (m *Manager) Health() map[string]string {
 	m.mu.Lock()
 	defer m.mu.Unlock()

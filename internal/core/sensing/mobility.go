@@ -203,9 +203,9 @@ func (m *Mobility) HandlePacket(c *packet.Captured) {
 	} else if neverMoved && (!m.declared || m.mobile) {
 		m.declared = true
 		m.mobile = false
-		// Absence-default: no movement in this instance's partition is
-		// not proof of a static network — another shard may have seen
-		// the node move.
+		// Absence-default: no movement since this instance activated is
+		// not proof of a static network — after a warm restart the
+		// Knowledge Base may hold restored evidence of movement.
 		kb.PutBoolDefault(knowledge.LabelMobility, false)
 	}
 }

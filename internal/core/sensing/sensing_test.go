@@ -272,3 +272,54 @@ func TestSensingParamErrors(t *testing.T) {
 		t.Error("bad collective accepted")
 	}
 }
+
+// TestWarmRestartKeepsRestoredEvidence pins why the sensing modules
+// write their absence-defaults and node count through PutBoolDefault
+// and PutIntMax rather than PutBool and PutInt. After a warm restart
+// the Knowledge Base holds evidence restored from the previous run,
+// while the freshly activated modules start from zero: they have not
+// yet seen a forwarding chain, a moving node or the whole population.
+// Their "nothing seen yet" declarations must not clobber the restored
+// evidence.
+func TestWarmRestartKeepsRestoredEvidence(t *testing.T) {
+	const frames = 40 // past Topology's singleHopAfter (30) and Mobility's 2×minSamples
+	src := netip.MustParseAddr("192.168.1.5")
+	dst := netip.MustParseAddr("192.168.1.10")
+	feed := func(kb *knowledge.Base) {
+		topo, _ := NewTopology(nil)
+		mob, _ := NewMobility(nil)
+		topo.Activate(newCtx(kb))
+		mob.Activate(newCtx(kb))
+		for i := 0; i < frames; i++ {
+			raw := stack.BuildICMPEcho(src, dst, icmp.TypeEchoRequest, 1, uint16(i), 64)
+			c := mkCap(t, packet.MediumWiFi, raw, t0.Add(time.Duration(i)*time.Second), -55)
+			topo.HandlePacket(c)
+			mob.HandlePacket(c)
+		}
+	}
+	values := func(kb *knowledge.Base) (multihop, mobility string, nodes string) {
+		multihop, _ = kb.Value(knowledge.LabelMultihop)
+		mobility, _ = kb.Value(knowledge.LabelMobility)
+		nodes, _ = kb.Value(knowledge.LabelMonitoredNodes)
+		return
+	}
+
+	// Cold start: the same frames do reach the default-writing paths.
+	cold := knowledge.NewBase("K1")
+	feed(cold)
+	if m, mob, n := values(cold); m != "false" || mob != "false" || n != "2" {
+		t.Fatalf("cold start: Multihop=%q Mobility=%q MonitoredNodes=%q, want false/false/2", m, mob, n)
+	}
+
+	// Warm restart: restored evidence survives the fresh modules.
+	warm := knowledge.NewBase("K1")
+	warm.Restore([]knowledge.Knowgget{
+		{Label: knowledge.LabelMultihop, Value: "true", Creator: "K1"},
+		{Label: knowledge.LabelMobility, Value: "true", Creator: "K1"},
+		{Label: knowledge.LabelMonitoredNodes, Value: "6", Creator: "K1"},
+	}, nil)
+	feed(warm)
+	if m, mob, n := values(warm); m != "true" || mob != "true" || n != "6" {
+		t.Errorf("warm restart: Multihop=%q Mobility=%q MonitoredNodes=%q, want restored true/true/6", m, mob, n)
+	}
+}

@@ -119,8 +119,8 @@ func (t *Topology) HandlePacket(c *packet.Captured) {
 	if !t.declared && t.packets >= t.singleHopAfter {
 		t.declared = true
 		// Absence-default: this instance saw enough traffic without a
-		// forwarding chain. On a sharded node another instance may hold
-		// the proof, so the default must not clobber evidence.
+		// forwarding chain. After a warm restart the Knowledge Base may
+		// hold restored proof, so the default must not clobber evidence.
 		kb.PutBoolDefault(knowledge.LabelMultihop, false)
 	}
 	// Link-layer security is a prevention-technique feature (§III-B2):
@@ -137,9 +137,8 @@ func (t *Topology) observeNode(id packet.NodeID) {
 		return
 	}
 	t.nodes[id] = true
-	// High-water mark: per-shard instances each see a traffic
-	// partition, so last-writer-wins would undercount on whichever
-	// shard wrote last.
+	// High-water mark: after a warm restart this instance recounts from
+	// zero, so last-writer-wins would undercount the restored total.
 	t.ctx.KB.PutIntMax(knowledge.LabelMonitoredNodes, len(t.nodes))
 }
 

@@ -119,14 +119,13 @@ func (w *VictimWindow) Observe(c *packet.Captured) {
 	}
 	w.mu.Lock()
 	evs := w.byDst[c.Dst]
-	// Concurrent shard workers deliver captures out of timestamp order,
-	// and a shard that races ahead in an accelerated replay can be a
-	// full episode past a laggard. Storage is therefore time-sorted and
-	// cap-bounded, never time-pruned: pruning on insert against any
-	// "current" time would destroy a slower shard's still-live window.
-	// Readers count within their own [now-window, now] instead. The
-	// backward scan is O(1) for in-order arrival and bounded by shard
-	// lag otherwise.
+	// Storage is time-sorted and cap-bounded, never time-pruned, so a
+	// capture delivered out of timestamp order is still counted in
+	// every window that contains its timestamp: pruning on insert
+	// against the newest capture's time would drop it. Readers count
+	// within their own [now-window, now] instead. The backward scan is
+	// O(1) for in-order arrival and bounded by the reordering distance
+	// otherwise.
 	i := len(evs)
 	for i > 0 && evs[i-1].At.After(c.Time) {
 		i--
@@ -148,9 +147,9 @@ func (w *VictimWindow) Observe(c *packet.Captured) {
 const maxVictimEvents = 1024
 
 // windowSpan returns the half-open index range [lo, hi) of evs (sorted
-// by At) falling inside [now-window, now] — events from shards that
-// have raced ahead of the reader are excluded just as events the
-// reader has outlived are.
+// by At) falling inside [now-window, now] — events stamped after the
+// reader's now are excluded just as events the reader has outlived
+// are.
 func windowSpan(evs []Event, window time.Duration, now time.Time) (int, int) {
 	oldest := now.Add(-window)
 	lo := sort.Search(len(evs), func(i int) bool { return !evs[i].At.Before(oldest) })
@@ -280,9 +279,9 @@ func (h *TCPHandshakes) Observe(c *packet.Captured) {
 		h.mu.Lock()
 		if h.pending[key] {
 			delete(h.pending, key)
-			// Time-ordered insert, as in VictimWindow.Observe: ACKs
-			// from initiators on different shards can arrive out of
-			// timestamp order and Completions prunes from the front.
+			// Time-ordered insert, as in VictimWindow.Observe: an ACK
+			// delivered out of timestamp order still lands inside the
+			// windows Completions counts.
 			comps := h.comps[c.Dst]
 			i := len(comps)
 			for i > 0 && comps[i-1].After(c.Time) {
@@ -303,8 +302,8 @@ func (h *TCPHandshakes) Observe(c *packet.Captured) {
 
 // Completions returns how many handshakes completed towards dst within
 // the window ending at now. As with VictimWindow, storage is sorted
-// and cap-bounded rather than pruned, so slower shards' reads stay
-// correct while others race ahead.
+// and cap-bounded rather than pruned, so captures delivered out of
+// timestamp order are still counted correctly.
 func (h *TCPHandshakes) Completions(dst packet.NodeID, now time.Time) int {
 	h.mu.Lock()
 	defer h.mu.Unlock()

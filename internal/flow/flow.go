@@ -11,7 +11,7 @@
 //
 // Expired, evicted and flushed flows are exported as Records through
 // OnExport callbacks; the core wires these onto the "flow.records" bus
-// topic with a CoalesceByKey overflow policy.
+// topic, which delivers every record inline to its subscribers.
 package flow
 
 import (
@@ -95,9 +95,9 @@ func KeyOf(c *packet.Captured) Key {
 	return k
 }
 
-// String renders the key in a stable, human-readable form — used as the
-// coalescing key of flow.records events and in flow-record dumps. It is
-// called on the export path only (cold), never per packet.
+// String renders the key in a stable, human-readable form — used in
+// flow-record dumps. It is called on the export path only (cold), never
+// per packet.
 func (k Key) String() string {
 	s := k.Medium.String() + "/" + k.Proto.String() + "/" + string(k.Src)
 	if k.SrcPort != 0 {
@@ -181,8 +181,3 @@ type Record struct {
 	// configured feature order.
 	Features []Value
 }
-
-// CoalesceKey is the per-flow coalescing key for the flow.records bus
-// topic: under queue pressure, a newer record of the same flow replaces
-// the queued one.
-func (r Record) CoalesceKey() string { return r.Key.String() }

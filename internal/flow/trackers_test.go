@@ -25,32 +25,32 @@ func TestPrivateTrackersByDefault(t *testing.T) {
 	wB.Release()
 }
 
-// TestVictimWindowShardSkew: shard workers read the shared window at
-// their own packet's capture time, so a shard that has raced a whole
-// episode ahead must neither see a laggard's events in its window nor
-// destroy them — the laggard's threshold probe still has to fire.
+// TestVictimWindowShardSkew: captures delivered out of timestamp order
+// are still counted correctly. An event stamped a whole episode ahead
+// must neither show up in an earlier window nor destroy the earlier
+// events — the earlier threshold probe still has to fire.
 func TestVictimWindowShardSkew(t *testing.T) {
 	w := NewVictimWindow(MaskOf(packet.KindTCPSYN), 5*time.Second)
 	mk := func(src packet.NodeID, at time.Time) *packet.Captured {
 		return &packet.Captured{Kind: packet.KindTCPSYN, Src: src, Dst: "v", Time: at}
 	}
-	// The fast shard inserts an event from the next episode, 20s ahead.
+	// An event from the next episode, 20s ahead, arrives first.
 	ahead := t0.Add(20 * time.Second)
 	w.Observe(mk("fast", ahead))
-	// The laggard then delivers this episode's burst — out of global
-	// timestamp order.
+	// This episode's burst arrives afterwards — out of timestamp
+	// order.
 	for i := 0; i < 10; i++ {
 		w.Observe(mk(packet.NodeID(rune('a'+i)), t0.Add(time.Duration(i)*100*time.Millisecond)))
 	}
 	lagNow := t0.Add(time.Second)
 	if got := w.Len("v", lagNow); got != 10 {
-		t.Errorf("laggard window = %d, want 10 (ahead-shard insert destroyed or polluted it)", got)
+		t.Errorf("laggard window = %d, want 10 (the ahead insert destroyed or polluted it)", got)
 	}
 	if got := w.Len("v", ahead); got != 1 {
 		t.Errorf("ahead window = %d, want 1 (stale episode leaked forward)", got)
 	}
 	if !w.Gate("mod", "v", 10, 10*time.Second, lagNow) {
-		t.Error("laggard threshold probe failed after cross-shard skew")
+		t.Error("laggard threshold probe failed after out-of-order delivery")
 	}
 	evs := w.Events("v", lagNow)
 	if len(evs) != 10 || evs[0].Src != "a" || evs[9].Src != "j" {
@@ -77,8 +77,8 @@ func TestHandshakeShardSkew(t *testing.T) {
 		ack.Time = at.Add(50 * time.Millisecond)
 		hs.Observe(ack)
 	}
-	// A fast shard completes a handshake 20s ahead, then a laggard
-	// completes two in this episode — out of global timestamp order.
+	// A handshake stamped 20s ahead arrives first, then two from this
+	// episode — out of timestamp order.
 	hshake(netip.MustParseAddr("10.0.0.1"), t0.Add(20*time.Second))
 	hshake(netip.MustParseAddr("10.0.0.2"), t0)
 	hshake(netip.MustParseAddr("10.0.0.3"), t0)

@@ -112,13 +112,6 @@ func WithWindowSize(n int) Option {
 	return func(c *core.Config) { c.WindowSize = n }
 }
 
-// WithAsyncEvents switches the event bus to asynchronous delivery
-// (each subscriber on its own goroutine); the default synchronous mode
-// is deterministic.
-func WithAsyncEvents() Option {
-	return func(c *core.Config) { c.Async = true }
-}
-
 // WithoutKnowledge disables knowledge-driven adaptation: all installed
 // modules stay active at all times and fall back to naive techniques.
 // This is the paper's "traditional IDS" baseline; it exists in the
@@ -182,9 +175,8 @@ func (n *Node) ID() string { return n.inner.ID() }
 func (n *Node) HandleCapture(c *Captured) { n.inner.HandleCapture(c) }
 
 // DrainIngest returns once every packet passed to HandleCapture has
-// been dispatched to the modules. Synchronous events dispatch inside
-// HandleCapture, so it returns at once; under WithAsyncEvents
-// dispatch runs on the bus goroutine and Close is what drains it.
+// been dispatched to the modules. It returns at once; dispatch
+// completes inside HandleCapture.
 func (n *Node) DrainIngest() {}
 
 // OnAlert registers a consumer for detection events.
@@ -201,15 +193,14 @@ func (n *Node) Alerts() []Alert { return n.inner.Alerts() }
 func (n *Node) ActiveModules() []string { return n.inner.ActiveModules() }
 
 // QuarantinedModules returns the modules the supervisor currently
-// withholds from dispatch: panicked modules waiting out their backoff
-// and modules shed by the latency circuit breaker. The node keeps
-// observing with the remaining modules — graceful degradation instead
-// of a crash.
+// withholds from dispatch: panicked modules waiting out their backoff.
+// The node keeps observing with the remaining modules — graceful
+// degradation instead of a crash.
 func (n *Node) QuarantinedModules() []string { return n.inner.QuarantinedModules() }
 
 // ModuleHealth reports every installed module's activation and
-// supervision state: "inactive", "healthy", "quarantined", "probing"
-// (post-quarantine probation) or "shed" (circuit breaker).
+// supervision state: "inactive", "healthy", "quarantined" or "probing"
+// (post-quarantine probation).
 func (n *Node) ModuleHealth() map[string]string { return n.inner.ModuleHealth() }
 
 // Knowledge returns a snapshot of the Knowledge Base, sorted by key.
@@ -237,8 +228,8 @@ func (n *Node) RegisterModule(name string, factory func(params map[string]string
 
 // OnFlowRecord registers a callback invoked for every flow exported
 // from the flow table (idle/active timeout, capacity eviction, or
-// shutdown flush). Records arrive via the flow.records bus topic, which
-// coalesces per flow under queue pressure.
+// shutdown flush). Records arrive via the flow.records bus topic, on
+// the goroutine that exported them.
 func (n *Node) OnFlowRecord(fn func(FlowRecord)) { n.inner.OnFlowRecord(fn) }
 
 // SetLog writes all observed traffic to w in the Kalis trace format.
@@ -338,7 +329,7 @@ func (n *Node) ExportAlerts(w io.Writer) *siem.Exporter {
 }
 
 // Telemetry returns the node's always-on runtime-metrics registry
-// (packet counters, per-module latency histograms, queue depths, ...).
+// (packet counters, per-module latency histograms, flow gauges, ...).
 // It is distinct from internal/metrics, which scores offline
 // experiments after a replay finishes.
 func (n *Node) Telemetry() *telemetry.Registry { return n.inner.Telemetry() }

@@ -147,7 +147,7 @@ func TestFacadeCustomModule(t *testing.T) {
 
 // TestUnshardedStaysSynchronous pins the dispatch contract: every
 // module has seen a packet when HandleCapture returns, with no drain
-// needed.
+// needed. Synchronous dispatch is the node's only mode.
 func TestUnshardedStaysSynchronous(t *testing.T) {
 	node, err := New(WithoutDefaultModules())
 	if err != nil {
