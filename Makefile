@@ -55,7 +55,7 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=30s -run '^$$' ./internal/persist/
 
 # Kalis-specific static analysis (see DESIGN.md "Static analysis &
-# invariants"): simulated-clock discipline, named bus topics, hot-path
+# invariants"): simulated-clock discipline, hot-path
 # allocation/formatting/blocking bans over the devirtualized call
 # graph, lock-order and packet-taint checks, panic policy, discarded
 # errors. The committed baseline (normally empty) supports gradual

@@ -1,10 +1,14 @@
 // Package core assembles a complete Kalis node from its components
-// (Fig. 4): the Communication System feeds captured packets through the
-// event bus to the Data Store and the Module Manager; sensing modules
-// distill knowggets into the Knowledge Base; the Knowledge Base drives
-// dynamic activation of detection modules; alerts flow to subscribers
-// (dashboards, countermeasures, the smart firewall) and collective
-// knowledge synchronizes with peer Kalis nodes.
+// (Fig. 4): the Communication System hands each captured packet to
+// HandleCapture, which dispatches it to the Data Store, the flow table
+// and the Module Manager; sensing modules distill knowggets into the
+// Knowledge Base; the Knowledge Base drives dynamic activation of
+// detection modules; alerts flow to subscribers (dashboards,
+// countermeasures, the smart firewall) and collective knowledge
+// synchronizes with peer Kalis nodes. Every event is delivered inline by
+// the component that produces it: alerts by the Module Manager,
+// knowledge changes by the Knowledge Base, flow records by the flow
+// table.
 package core
 
 import (
@@ -16,7 +20,6 @@ import (
 	"kalis/internal/core/collective"
 	"kalis/internal/core/datastore"
 	"kalis/internal/core/detection"
-	"kalis/internal/core/event"
 	"kalis/internal/core/kconfig"
 	"kalis/internal/core/knowledge"
 	"kalis/internal/core/module"
@@ -49,7 +52,7 @@ type Config struct {
 	// Flow tunes the flow table (zero fields select the defaults; see
 	// flow.Config). The flow pipeline is always on: the table is
 	// updated once per packet before module fan-out and expired flows
-	// are exported on the flow.records bus topic.
+	// are exported to OnFlowRecord subscribers.
 	Flow flow.Config
 	// StateDir, when non-empty, enables durable state: the Knowledge
 	// Base and Data Store window are recovered from this directory at
@@ -72,18 +75,24 @@ type Kalis struct {
 	store    *datastore.Store
 	registry *module.Registry
 	manager  *module.Manager
-	bus      *event.Bus
 	flows    *flow.Table
 	coll     *collective.Node
 	tel      *telemetry.Registry
 	persist  *persist.Manager
 
+	// packetPubs counts dispatched packets on the
+	// kalis_bus_publishes_total{topic="packet"} child, resolved once at
+	// wiring time.
+	packetPubs *telemetry.Counter
+
 	// dispatchMu gives module state a single owner at a time. Knowledge
 	// Base subscriptions run module callbacks on the writer's
 	// goroutine, so packet dispatch and the collective's application
 	// of gossiped knowledge (which runs on the transport's socket
-	// goroutine) must not interleave.
+	// goroutine) must not interleave. It also guards closed: an
+	// in-flight dispatch holds the lock, so Close waits for it.
 	dispatchMu sync.Mutex
+	closed     bool
 }
 
 // New builds a Kalis node.
@@ -98,21 +107,18 @@ func New(cfg Config) (*Kalis, error) {
 	store := datastore.New(cfg.WindowSize)
 	table := flow.NewTable(cfg.Flow)
 	manager := module.NewManager(kb, store, cfg.KnowledgeDriven)
-	bus := event.NewBus()
-	//lint:ignore hotalloc flow records box once per export (expiry/eviction), amortized across the flow's packets
-	table.OnExport(func(r flow.Record) { bus.Publish(event.TopicFlowRecords, r) })
 	tel := telemetry.NewRegistry()
-	wireTelemetry(tel, bus, manager, store, table)
+	packetPubs := wireTelemetry(tel, kb, manager, store, table)
 
 	k := &Kalis{
-		id:       cfg.NodeID,
-		kb:       kb,
-		store:    store,
-		registry: registry,
-		manager:  manager,
-		bus:      bus,
-		flows:    table,
-		tel:      tel,
+		id:         cfg.NodeID,
+		kb:         kb,
+		store:      store,
+		registry:   registry,
+		manager:    manager,
+		flows:      table,
+		tel:        tel,
+		packetPubs: packetPubs,
 	}
 	// Durable state recovers BEFORE modules are installed and before
 	// any traffic flows: knowledge-driven activation at install time
@@ -136,30 +142,6 @@ func New(cfg Config) (*Kalis, error) {
 		}
 		k.persist = pm
 	}
-	bus.Subscribe(event.TopicPacket, func(payload interface{}) {
-		if c, ok := payload.(*packet.Captured); ok {
-			k.dispatchMu.Lock()
-			//lint:ignore lockorder dispatchMu is the module-state owner lock: only this subscriber and the collective's KB writes take it, and no bus consumer does, so an inline publish under it never re-enters it
-			manager.HandlePacket(c)
-			if k.persist != nil {
-				// Compaction runs on the capture clock, like every
-				// other time-driven behavior in the pipeline.
-				k.persist.Tick(c.Time)
-			}
-			k.dispatchMu.Unlock()
-		}
-	})
-	alerts := tel.CounterVec("kalis_alerts_total", "attack",
-		"Detection alerts raised, by canonical attack name.")
-	manager.OnAlert(func(a module.Alert) {
-		//lint:ignore hotpath alerts are rare and cooldown-gated; one label lookup per alert is off the per-packet budget
-		alerts.With(a.Attack).Inc()
-		//lint:ignore hotalloc alert boxing happens once per raised alert, cooldown-gated far below packet rate
-		bus.Publish(event.TopicDetection, a)
-	})
-	//lint:ignore hotalloc knowgget boxing happens once per knowledge change, change-gated far below packet rate
-	kb.SubscribeAll(func(kg knowledge.Knowgget) { bus.Publish(event.TopicKnowledge, kg) })
-
 	installed := make(map[string]bool)
 	if cfg.ConfigText != "" {
 		parsed, err := kconfig.Parse(cfg.ConfigText)
@@ -191,11 +173,25 @@ func New(cfg Config) (*Kalis, error) {
 
 // wireTelemetry registers the node's runtime metrics and installs the
 // hooks into every instrumented component. Metric names are documented
-// in the "Runtime telemetry" section of README.md.
-func wireTelemetry(tel *telemetry.Registry, bus *event.Bus, manager *module.Manager, store *datastore.Store, table *flow.Table) {
-	bus.SetMetrics(event.Metrics{
-		Publishes: tel.CounterVec("kalis_bus_publishes_total", "topic",
-			"Events published on the bus, by topic."),
+// in the "Runtime telemetry" section of README.md. It returns the
+// packet child of kalis_bus_publishes_total, which HandleCapture
+// increments; the other children count where their events are
+// delivered.
+func wireTelemetry(tel *telemetry.Registry, kb *knowledge.Base, manager *module.Manager, store *datastore.Store, table *flow.Table) *telemetry.Counter {
+	pubs := tel.CounterVec("kalis_bus_publishes_total", "topic",
+		"Events dispatched, by topic (packet, knowledge, detection, flow.records).")
+	packetPubs := pubs.With("packet")
+	knowledgePubs := pubs.With("knowledge")
+	detectionPubs := pubs.With("detection")
+	flowPubs := pubs.With("flow.records")
+	kb.SubscribeAll(func(knowledge.Knowgget) { knowledgePubs.Inc() })
+	table.OnExport(func(flow.Record) { flowPubs.Inc() })
+	alerts := tel.CounterVec("kalis_alerts_total", "attack",
+		"Detection alerts raised, by canonical attack name.")
+	manager.OnAlert(func(a module.Alert) {
+		//lint:ignore hotpath alerts are rare and cooldown-gated; one label lookup per alert is off the per-packet budget
+		alerts.With(a.Attack).Inc()
+		detectionPubs.Inc()
 	})
 	manager.SetMetrics(module.ManagerMetrics{
 		Packets: tel.Counter("kalis_packets_total",
@@ -229,6 +225,7 @@ func wireTelemetry(tel *telemetry.Registry, bus *event.Bus, manager *module.Mana
 	manager.SetFlows(table, tel.Histogram("kalis_flow_update_seconds",
 		"Per-packet flow-table and feature update latency.", nil))
 	telemetry.RegisterRuntimeMetrics(tel)
+	return packetPubs
 }
 
 // ID returns the node identifier.
@@ -264,28 +261,30 @@ func (k *Kalis) Install(name string, params map[string]string) error {
 
 // HandleCapture feeds one captured packet into the node — the entry
 // point wired to sniffers and trace replay. Every module has seen the
-// packet when it returns.
+// packet when it returns. After Close it dispatches nothing.
 func (k *Kalis) HandleCapture(c *packet.Captured) {
-	k.bus.Publish(event.TopicPacket, c)
+	k.dispatchMu.Lock()
+	defer k.dispatchMu.Unlock()
+	if k.closed {
+		return
+	}
+	k.packetPubs.Inc()
+	//lint:ignore lockorder dispatchMu is the module-state owner lock: only HandleCapture, Close and the collective's KB writes take it, and no alert, knowledge or flow-record consumer does, so inline delivery under it never re-enters it
+	k.manager.HandlePacket(c)
+	if k.persist != nil {
+		// Compaction runs on the capture clock, like every other
+		// time-driven behavior in the pipeline.
+		k.persist.Tick(c.Time)
+	}
 }
 
-// OnAlert registers a detection-event consumer.
-func (k *Kalis) OnAlert(fn func(module.Alert)) {
-	k.bus.Subscribe(event.TopicDetection, func(payload interface{}) {
-		if a, ok := payload.(module.Alert); ok {
-			fn(a)
-		}
-	})
-}
+// OnAlert registers a detection-event consumer. The Module Manager
+// calls it inline, in registration order, for every raised alert.
+func (k *Kalis) OnAlert(fn func(module.Alert)) { k.manager.OnAlert(fn) }
 
-// OnKnowledge registers a knowledge-event consumer.
-func (k *Kalis) OnKnowledge(fn func(knowledge.Knowgget)) {
-	k.bus.Subscribe(event.TopicKnowledge, func(payload interface{}) {
-		if kg, ok := payload.(knowledge.Knowgget); ok {
-			fn(kg)
-		}
-	})
-}
+// OnKnowledge registers a knowledge-event consumer. The Knowledge Base
+// calls it inline for every change.
+func (k *Kalis) OnKnowledge(fn func(knowledge.Knowgget)) { k.kb.SubscribeAll(fn) }
 
 // Alerts returns every alert collected so far.
 func (k *Kalis) Alerts() []module.Alert { return k.manager.Alerts() }
@@ -305,14 +304,9 @@ func (k *Kalis) ModuleHealth() map[string]string { return k.manager.Health() }
 func (k *Kalis) Flows() *flow.Table { return k.flows }
 
 // OnFlowRecord registers a consumer for exported flow records (flows
-// that expired, were evicted, or were flushed at shutdown).
-func (k *Kalis) OnFlowRecord(fn func(flow.Record)) {
-	k.bus.Subscribe(event.TopicFlowRecords, func(payload interface{}) {
-		if r, ok := payload.(flow.Record); ok {
-			fn(r)
-		}
-	})
-}
+// that expired, were evicted, or were flushed at shutdown). The flow
+// table calls it inline.
+func (k *Kalis) OnFlowRecord(fn func(flow.Record)) { k.flows.OnExport(fn) }
 
 // SetLog enables traffic logging to w in the Kalis trace format.
 func (k *Kalis) SetLog(w io.Writer) { k.store.SetLog(w) }
@@ -397,13 +391,20 @@ func (k *Kalis) SuggestConfig() string {
 // runs without a state directory.
 func (k *Kalis) Persistence() *persist.Manager { return k.persist }
 
-// Close shuts the node down: the flow table flushes its remaining
-// flows as records, the event bus closes, the traffic log flushes and
-// closes, durable state takes its final snapshot, and the collective
-// layer closes.
+// Close shuts the node down: it waits for an in-flight HandleCapture
+// and stops further dispatch, the flow table flushes its remaining
+// flows as records, the traffic log flushes and closes, durable state
+// takes its final snapshot, and the collective layer closes. A second
+// Close returns nil. Close must not be called from inside a consumer.
 func (k *Kalis) Close() error {
+	k.dispatchMu.Lock()
+	closed := k.closed
+	k.closed = true
+	k.dispatchMu.Unlock()
+	if closed {
+		return nil
+	}
 	k.flows.Flush()
-	k.bus.Close()
 	err := k.store.CloseLog()
 	if k.persist != nil {
 		if perr := k.persist.Stop(); err == nil {

@@ -10,8 +10,8 @@
 // full flow lifecycle deterministically (the simclock discipline).
 //
 // Expired, evicted and flushed flows are exported as Records through
-// OnExport callbacks; the core wires these onto the "flow.records" bus
-// topic, which delivers every record inline to its subscribers.
+// OnExport callbacks, which the table calls inline; the core registers
+// each OnFlowRecord consumer as one.
 package flow
 
 import (
@@ -167,7 +167,7 @@ func (r ExpiryReason) String() string {
 }
 
 // Record is an exported (expired/terminated) flow: the immutable
-// summary published on the flow.records topic.
+// summary passed to every OnExport callback.
 type Record struct {
 	// Key is the flow's identity.
 	Key Key

@@ -19,7 +19,7 @@ import (
 //   - a call through a function value fans out to every function,
 //     method value or literal observed flowing into the value's
 //     variable, field, or parameter — or, for values of a named
-//     in-module function type (event.Handler, flow.ExportFunc, ...),
+//     in-module function type (module.AlertFunc, flow.ExportFunc, ...),
 //     to every function coerced to that type anywhere in the module;
 //   - a function literal nested in a body is an edge of that body
 //     unless it is only launched with go.
@@ -187,7 +187,7 @@ type cgBuilder struct {
 	// var) of function type to the function values observed flowing
 	// into it anywhere in the module.
 	varBinds map[*types.Var][]*CGNode
-	// coercions maps a named in-module function type (event.Handler,
+	// coercions maps a named in-module function type (module.AlertFunc,
 	// flow.Tracker factories, ...) to every function value coerced to
 	// it — the function-type analogue of CHA.
 	coercions map[*types.TypeName][]*CGNode

@@ -19,7 +19,7 @@ import (
 func TestCallGraphGolden(t *testing.T) {
 	// Load the bare module, not the shared fixture-augmented target:
 	// fixture packages implement in-module interfaces (flow.Tracker,
-	// event handler types) and would leak class-hierarchy edges into
+	// callback function types) and would leak class-hierarchy edges into
 	// the dump that `kalislint -callgraph` never sees.
 	target, err := Load(moduleRoot)
 	if err != nil {

@@ -7,8 +7,6 @@
 //
 //   - simclock: no time.Now/time.Sleep in simulated components — time
 //     comes from the sim clock or the capture timestamp.
-//   - bustopic: event.Bus topics must be named constants, keeping
-//     telemetry label cardinality bounded.
 //   - hotpath: the packet path (HandlePacket/HandleCapture methods and
 //     their transitive callees within internal/core) must not format
 //     with fmt, block on channel sends, or do per-packet telemetry
@@ -89,7 +87,6 @@ func DefaultAnalyzers() []Analyzer {
 			"kalis/internal/core/detection",
 			"kalis/internal/core/sensing",
 		)},
-		&BusTopic{Scope: AllPackages},
 		&HotPath{
 			RootScope: PathScope("kalis/internal/core"),
 			WalkScope: PathScope("kalis/internal/core", "kalis/internal/flow"),
@@ -116,7 +113,6 @@ func DefaultAnalyzers() []Analyzer {
 func FixtureAnalyzers(scope ScopeFunc) []Analyzer {
 	return []Analyzer{
 		&SimClock{Scope: scope},
-		&BusTopic{Scope: scope},
 		&HotPath{RootScope: scope, WalkScope: scope},
 		&NoPanic{Scope: scope},
 		&ErrCheck{Scope: scope},

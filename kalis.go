@@ -228,8 +228,8 @@ func (n *Node) RegisterModule(name string, factory func(params map[string]string
 
 // OnFlowRecord registers a callback invoked for every flow exported
 // from the flow table (idle/active timeout, capacity eviction, or
-// shutdown flush). Records arrive via the flow.records bus topic, on
-// the goroutine that exported them.
+// shutdown flush). The flow table calls it inline, on the goroutine
+// that exported the records.
 func (n *Node) OnFlowRecord(fn func(FlowRecord)) { n.inner.OnFlowRecord(fn) }
 
 // SetLog writes all observed traffic to w in the Kalis trace format.
@@ -369,7 +369,8 @@ func (n *Node) RecoveryOutcome() string {
 	return ""
 }
 
-// Close shuts the node down, draining the event bus, flushing and
-// closing the traffic log, taking the final durable-state snapshot,
-// and closing the collective layer.
+// Close shuts the node down: it waits for an in-flight HandleCapture
+// and makes later calls dispatch nothing, then flushes the flow table,
+// flushes and closes the traffic log, takes the final durable-state
+// snapshot and closes the collective layer. A second Close returns nil.
 func (n *Node) Close() error { return n.inner.Close() }
