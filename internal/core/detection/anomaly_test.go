@@ -39,7 +39,7 @@ func TestAnomalyDetectsRateSpike(t *testing.T) {
 	for w := 0; w < 8; w++ {
 		for i := 0; i < 2; i++ {
 			raw := stack.BuildUDP(src, dst, 1, 2, uint16(w*10+i), []byte("x"))
-			mod.HandlePacket(mkCap(t, packet.MediumWiFi, raw, at, -60))
+			h.deliver(mkCap(t, packet.MediumWiFi, raw, at, -60), mod)
 			at = at.Add(2 * time.Second)
 		}
 		at = t0.Add(time.Duration(w+1) * 5 * time.Second)
@@ -51,11 +51,11 @@ func TestAnomalyDetectsRateSpike(t *testing.T) {
 	spikeStart := at
 	for i := 0; i < 60; i++ {
 		raw := stack.BuildUDP(src, dst, 1, 2, uint16(1000+i), []byte("x"))
-		mod.HandlePacket(mkCap(t, packet.MediumWiFi, raw, spikeStart.Add(time.Duration(i)*80*time.Millisecond), -60))
+		h.deliver(mkCap(t, packet.MediumWiFi, raw, spikeStart.Add(time.Duration(i)*80*time.Millisecond), -60), mod)
 	}
 	// Next window closes the spiked one.
 	raw := stack.BuildUDP(src, dst, 1, 2, 2000, []byte("x"))
-	mod.HandlePacket(mkCap(t, packet.MediumWiFi, raw, spikeStart.Add(6*time.Second), -60))
+	h.deliver(mkCap(t, packet.MediumWiFi, raw, spikeStart.Add(6*time.Second), -60), mod)
 
 	if n := h.attackNames()[AnomalyAttack]; n != 1 {
 		t.Fatalf("anomaly alerts = %d, want 1 (%v)", n, h.alerts)
@@ -81,7 +81,7 @@ func TestAnomalyQuietAfterSpikeExcluded(t *testing.T) {
 		for i := 0; i < n; i++ {
 			seq++
 			raw := stack.BuildUDP(src, dst, 1, 2, seq, []byte("x"))
-			mod.HandlePacket(mkCap(t, packet.MediumWiFi, raw, at.Add(time.Duration(i)*50*time.Millisecond), -60))
+			h.deliver(mkCap(t, packet.MediumWiFi, raw, at.Add(time.Duration(i)*50*time.Millisecond), -60), mod)
 		}
 	}
 	for w := 0; w < 6; w++ {

@@ -49,11 +49,6 @@ type Config struct {
 	// Knowledge Base decides what runs). Modules listed in ConfigText
 	// are installed with their parameters either way.
 	InstallAll bool
-	// Flow tunes the flow table (zero fields select the defaults; see
-	// flow.Config). The flow pipeline is always on: the table is
-	// updated once per packet before module fan-out and expired flows
-	// are exported to OnFlowRecord subscribers.
-	Flow flow.Config
 	// StateDir, when non-empty, enables durable state: the Knowledge
 	// Base and Data Store window are recovered from this directory at
 	// startup (warm restart) and persisted across the node's lifetime
@@ -87,10 +82,11 @@ type Kalis struct {
 
 	// dispatchMu gives module state a single owner at a time. Knowledge
 	// Base subscriptions run module callbacks on the writer's
-	// goroutine, so packet dispatch and the collective's application
-	// of gossiped knowledge (which runs on the transport's socket
-	// goroutine) must not interleave. It also guards closed: an
-	// in-flight dispatch holds the lock, so Close waits for it.
+	// goroutine, so packet dispatch, a-priori knowledge writes,
+	// module installs and the collective's application of gossiped
+	// knowledge (which runs on the transport's socket goroutine) must
+	// not interleave. It also guards closed: an in-flight dispatch
+	// holds the lock, so Close waits for it.
 	dispatchMu sync.Mutex
 	closed     bool
 }
@@ -105,8 +101,8 @@ func New(cfg Config) (*Kalis, error) {
 	sensing.Register(registry)
 	detection.Register(registry)
 	store := datastore.New(cfg.WindowSize)
-	table := flow.NewTable(cfg.Flow)
-	manager := module.NewManager(kb, store, cfg.KnowledgeDriven)
+	table := flow.NewTable(flow.Config{})
+	manager := module.NewManager(kb, store, table, cfg.KnowledgeDriven)
 	tel := telemetry.NewRegistry()
 	packetPubs := wireTelemetry(tel, kb, manager, store, table)
 
@@ -204,6 +200,8 @@ func wireTelemetry(tel *telemetry.Registry, kb *knowledge.Base, manager *module.
 			"Module panics recovered by the supervisor, by module."),
 		Quarantined: tel.Gauge("kalis_module_quarantined",
 			"Modules currently withheld from dispatch after a panic."),
+		FlowLatency: tel.Histogram("kalis_flow_update_seconds",
+			"Per-packet flow-table and feature update latency.", nil),
 	})
 	store.SetMetrics(datastore.StoreMetrics{
 		Appended: tel.Counter("kalis_store_appended_total",
@@ -222,8 +220,6 @@ func wireTelemetry(tel *telemetry.Registry, kb *knowledge.Base, manager *module.
 		Active: tel.Gauge("kalis_flow_active",
 			"Flows currently tracked in the flow table."),
 	})
-	manager.SetFlows(table, tel.Histogram("kalis_flow_update_seconds",
-		"Per-packet flow-table and feature update latency.", nil))
 	telemetry.RegisterRuntimeMetrics(tel)
 	return packetPubs
 }
@@ -250,13 +246,29 @@ func (k *Kalis) Manager() *module.Manager { return k.manager }
 func (k *Kalis) Registry() *module.Registry { return k.registry }
 
 // Install instantiates a registered module by name and installs it.
+// Installing may activate the module, so it takes the dispatch lock:
+// it must not be called from inside an alert, knowledge or flow-record
+// consumer, which already runs under that lock.
 func (k *Kalis) Install(name string, params map[string]string) error {
 	mod, err := k.registry.New(name, params)
 	if err != nil {
 		return err
 	}
+	k.dispatchMu.Lock()
+	defer k.dispatchMu.Unlock()
 	k.manager.Install(mod, params)
 	return nil
+}
+
+// PutKnowledge stores an a-priori (static) knowgget. Knowledge Base
+// subscribers activate and deactivate modules on the writing
+// goroutine, so the write takes the dispatch lock: it must not be
+// called from inside an alert, knowledge or flow-record consumer,
+// which already runs under that lock.
+func (k *Kalis) PutKnowledge(label, entity, value string) {
+	k.dispatchMu.Lock()
+	defer k.dispatchMu.Unlock()
+	k.kb.PutStatic(label, entity, value)
 }
 
 // HandleCapture feeds one captured packet into the node — the entry
@@ -269,7 +281,7 @@ func (k *Kalis) HandleCapture(c *packet.Captured) {
 		return
 	}
 	k.packetPubs.Inc()
-	//lint:ignore lockorder dispatchMu is the module-state owner lock: only HandleCapture, Close and the collective's KB writes take it, and no alert, knowledge or flow-record consumer does, so inline delivery under it never re-enters it
+	//lint:ignore lockorder dispatchMu is the module-state owner lock: only HandleCapture, PutKnowledge, Install, Close and the collective's KB writes take it, and no alert, knowledge or flow-record consumer does, so inline delivery under it never re-enters it
 	k.manager.HandlePacket(c)
 	if k.persist != nil {
 		// Compaction runs on the capture clock, like every other

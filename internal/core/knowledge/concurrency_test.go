@@ -45,7 +45,7 @@ func TestConcurrentAccess(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
-			b.AcceptRemote("K2", Knowgget{Label: "X", Value: fmt.Sprint(i), Creator: "K2"})
+			b.AcceptGossip("K2", Knowgget{Label: "X", Value: fmt.Sprint(i), Creator: "K2", Version: uint64(i + 1)})
 			b.Delete("K2$X")
 		}
 	}()

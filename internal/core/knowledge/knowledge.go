@@ -281,25 +281,12 @@ func (b *Base) PutIntMax(label string, v int) bool {
 	return b.storeWith(Knowgget{Label: label, Value: strconv.Itoa(v), Creator: b.local}, putMax)
 }
 
-// AcceptRemote stores a knowgget received from the peer Kalis node
-// identified by from. Per §IV-B3, a node can only update knowggets
-// that it originally generated: the knowgget is rejected unless its
-// creator field equals the sending peer. It returns true if accepted
-// and changed.
-func (b *Base) AcceptRemote(from string, k Knowgget) bool {
-	if k.Creator != from || from == b.local {
-		return false
-	}
-	k.Collective = true
-	return b.store(k)
-}
-
 // AcceptGossip stores a collective knowgget received through the
-// anti-entropy gossip layer. Unlike AcceptRemote it admits relayed
-// knowggets whose creator is a third node (epidemic dissemination
-// depends on relaying — the shared-passphrase envelope is the trust
-// boundary), but it keeps the §IV-B3 ownership invariant where it
-// matters: a knowgget claiming the local node as creator is always
+// anti-entropy gossip layer, the only receive path for remote
+// knowledge. It admits relayed knowggets whose creator is a third node
+// (epidemic dissemination depends on relaying — the shared-passphrase
+// envelope is the trust boundary), but it keeps the §IV-B3 ownership
+// invariant where it matters: a knowgget claiming the local node as creator is always
 // rejected, so no peer can overwrite local knowledge. Staleness is
 // resolved by the creator-local version: the knowgget is rejected
 // unless its Version is strictly newer than the stored entry's.

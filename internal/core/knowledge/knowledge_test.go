@@ -73,7 +73,7 @@ func TestQueries(t *testing.T) {
 	b.Put("TrafficFrequency.TCPSYN", "0.037")
 	b.Put("TrafficFrequency.TCPACK", "0.090")
 	b.PutEntity("SignalStrength", "SensorA", "-67")
-	b.AcceptRemote("K2", Knowgget{Label: "SignalStrength", Value: "-84", Creator: "K2", Entity: "SensorA"})
+	b.AcceptGossip("K2", Knowgget{Label: "SignalStrength", Value: "-84", Creator: "K2", Entity: "SensorA", Version: 1})
 
 	if got := len(b.QueryLocal()); got != 4 {
 		t.Errorf("QueryLocal = %d, want 4", got)
@@ -92,27 +92,6 @@ func TestQueries(t *testing.T) {
 	}
 	if kids[0].Label != "TrafficFrequency.TCPACK" {
 		t.Errorf("children not sorted: %+v", kids)
-	}
-}
-
-func TestAcceptRemoteCreatorRule(t *testing.T) {
-	b := NewBase("K1")
-	// Peer may only write knowggets it created.
-	if b.AcceptRemote("K2", Knowgget{Label: "X", Value: "1", Creator: "K3"}) {
-		t.Error("forged creator accepted")
-	}
-	if b.AcceptRemote("K2", Knowgget{Label: "X", Value: "1", Creator: "K1"}) {
-		t.Error("peer overwrote local knowledge")
-	}
-	if b.AcceptRemote("K1", Knowgget{Label: "X", Value: "1", Creator: "K1"}) {
-		t.Error("self-acceptance")
-	}
-	if !b.AcceptRemote("K2", Knowgget{Label: "X", Value: "1", Creator: "K2"}) {
-		t.Error("legitimate remote update rejected")
-	}
-	// Update of the same knowgget by its creator is allowed.
-	if !b.AcceptRemote("K2", Knowgget{Label: "X", Value: "2", Creator: "K2"}) {
-		t.Error("legitimate remote re-update rejected")
 	}
 }
 
@@ -171,7 +150,7 @@ func TestCollectiveSyncHook(t *testing.T) {
 	b.SetSync(func(k Knowgget) { synced = append(synced, k) })
 	b.PutCollective("SignalStrength", "SensorA", "-67")
 	b.Put("Local", "x")
-	b.AcceptRemote("K2", Knowgget{Label: "Y", Value: "2", Creator: "K2", Collective: true})
+	b.AcceptGossip("K2", Knowgget{Label: "Y", Value: "2", Creator: "K2", Collective: true, Version: 1})
 	if len(synced) != 1 || synced[0].Label != "SignalStrength" {
 		t.Errorf("synced = %+v (remote/local knowggets must not re-sync)", synced)
 	}
@@ -226,7 +205,7 @@ func TestFigure5Representation(t *testing.T) {
 	b.PutBool("Multihop", true)
 	b.PutInt("MonitoredNodes", 8)
 	b.PutEntity("SignalStrength", "SensorA", "-67")
-	b.AcceptRemote("K2", Knowgget{Label: "SignalStrength", Value: "-84", Creator: "K2", Entity: "SensorA"})
+	b.AcceptGossip("K2", Knowgget{Label: "SignalStrength", Value: "-84", Creator: "K2", Entity: "SensorA", Version: 1})
 	b.Put("TrafficFrequency.TCPSYN", "0.037")
 	b.Put("TrafficFrequency.TCPACK", "0.090")
 

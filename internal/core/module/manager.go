@@ -55,12 +55,8 @@ type Manager struct {
 	degraded int
 
 	// flows is the node's flow table, updated once per packet before
-	// module fan-out (nil disables the flow pipeline); flowLat is the
-	// optional feature-update latency histogram, observed here rather
-	// than inside internal/flow so the flow package itself stays on
-	// the virtual capture clock.
-	flows   *flow.Table
-	flowLat *telemetry.Histogram
+	// module fan-out and handed to every activated module's Context.
+	flows *flow.Table
 
 	// pendingHealth queues supervisor state transitions for
 	// publication as ModuleHealth knowggets once the lock is released
@@ -108,15 +104,20 @@ type ManagerMetrics struct {
 	// Quarantined tracks the number of modules currently withheld from
 	// dispatch by the supervisor after a panic.
 	Quarantined *telemetry.Gauge
+	// FlowLatency observes the flow-table update's wall time on one
+	// packet in 16. It is measured here rather than inside
+	// internal/flow, which stays on the virtual capture clock.
+	FlowLatency *telemetry.Histogram
 }
 
-// NewManager creates a manager bound to a Knowledge Base and Data
-// Store. knowledgeDriven selects adaptive module activation (Kalis)
-// vs all-modules-always-on (traditional IDS baseline).
-func NewManager(kb *knowledge.Base, store *datastore.Store, knowledgeDriven bool) *Manager {
+// NewManager creates a manager bound to a Knowledge Base, a Data Store
+// and a flow table. knowledgeDriven selects adaptive module activation
+// (Kalis) vs all-modules-always-on (traditional IDS baseline).
+func NewManager(kb *knowledge.Base, store *datastore.Store, flows *flow.Table, knowledgeDriven bool) *Manager {
 	return &Manager{
 		kb:              kb,
 		store:           store,
+		flows:           flows,
 		states:          make(map[string]*moduleState),
 		params:          make(map[string]map[string]string),
 		knowledgeDriven: knowledgeDriven,
@@ -126,17 +127,6 @@ func NewManager(kb *knowledge.Base, store *datastore.Store, knowledgeDriven bool
 
 // KnowledgeDriven reports whether adaptive activation is enabled.
 func (m *Manager) KnowledgeDriven() bool { return m.knowledgeDriven }
-
-// SetFlows installs the flow table the manager updates once per packet
-// before module fan-out, and the optional feature-update latency
-// histogram. Call it before traffic flows (the table also lands in
-// every subsequently activated module's Context).
-func (m *Manager) SetFlows(t *flow.Table, lat *telemetry.Histogram) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.flows = t
-	m.flowLat = lat
-}
 
 // SetMetrics installs telemetry hooks. Call it before traffic flows.
 func (m *Manager) SetMetrics(met ManagerMetrics) {
@@ -254,7 +244,6 @@ func (m *Manager) applyTransitions(mod Module, st *moduleState, params map[strin
 	for {
 		m.mu.Lock()
 		want := st.want
-		flows := m.flows
 		if want == st.applied {
 			st.transitioning = false
 			m.mu.Unlock()
@@ -266,7 +255,7 @@ func (m *Manager) applyTransitions(mod Module, st *moduleState, params map[strin
 			m.safeActivate(mod, &Context{
 				KB:              m.kb,
 				Store:           m.store,
-				Flows:           flows,
+				Flows:           m.flows,
 				Emit:            m.emit,
 				Params:          params,
 				KnowledgeDriven: m.knowledgeDriven,
@@ -308,11 +297,11 @@ func (m *Manager) HandlePacket(c *packet.Captured) {
 	}
 	snap := m.snap
 	timed := m.timed
-	flows, flowLat := m.flows, m.flowLat
 	// The flow-update latency is sampled (1 in 16 packets): two clock
 	// reads per packet would cost more than the update they measure.
-	if m.packets&0xf != 0 {
-		flowLat = nil
+	var flowLat *telemetry.Histogram
+	if m.packets&0xf == 0 {
+		flowLat = m.met.FlowLatency
 	}
 	var health []healthEvent
 	if len(m.pendingHealth) > 0 {
@@ -328,17 +317,13 @@ func (m *Manager) HandlePacket(c *packet.Captured) {
 	}
 
 	// The flow table updates exactly once per packet, before module
-	// fan-out, so every module reads post-packet flow state. The
-	// latency is measured here (wall clock) rather than inside
-	// internal/flow, which stays on the virtual capture clock.
-	if flows != nil {
-		if flowLat != nil {
-			start := time.Now()
-			flows.Update(c)
-			flowLat.Observe(time.Since(start))
-		} else {
-			flows.Update(c)
-		}
+	// fan-out, so every module reads post-packet flow state.
+	if flowLat != nil {
+		start := time.Now()
+		m.flows.Update(c)
+		flowLat.Observe(time.Since(start))
+	} else {
+		m.flows.Update(c)
 	}
 
 	for _, e := range snap {

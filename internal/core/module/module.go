@@ -64,11 +64,10 @@ type Context struct {
 	KB *knowledge.Base
 	// Store is the node's Data Store (recent-traffic window).
 	Store *datastore.Store
-	// Flows is the node's flow table, updated once per packet before
-	// module fan-out; detection modules acquire their endpoint
-	// trackers from it. Nil when the manager runs without a flow
-	// pipeline (direct-construction tests): modules then fall back to
-	// standalone trackers they update themselves.
+	// Flows is the node's flow table, always set. The Module Manager
+	// updates it once per packet before module fan-out, and detection
+	// modules acquire their endpoint trackers from it: the table's
+	// registry is the only source of trackers.
 	Flows *flow.Table
 	// Emit raises a detection alert.
 	Emit func(Alert)

@@ -237,10 +237,10 @@ func TestMobilityCollectiveCorrelation(t *testing.T) {
 		t.Fatal("sub-threshold deviation alone declared mobility")
 	}
 	// A peer (K2) reports a significant change for the same entity...
-	kb.AcceptRemote("K2", knowledge.Knowgget{
-		Label: knowledge.LabelSignalStrength, Value: "-70", Creator: "K2", Entity: "0x0005"})
-	kb.AcceptRemote("K2", knowledge.Knowgget{
-		Label: knowledge.LabelSignalStrength, Value: "-77", Creator: "K2", Entity: "0x0005"})
+	kb.AcceptGossip("K2", knowledge.Knowgget{
+		Label: knowledge.LabelSignalStrength, Value: "-70", Creator: "K2", Entity: "0x0005", Version: 1})
+	kb.AcceptGossip("K2", knowledge.Knowgget{
+		Label: knowledge.LabelSignalStrength, Value: "-77", Creator: "K2", Entity: "0x0005", Version: 2})
 	// ...and the next local sub-threshold deviation corroborates it
 	// (EWMA sits near -61.2 after the -64 sample; -65 deviates ~3.8 dB,
 	// between threshold/2 and threshold).

@@ -17,12 +17,11 @@ import (
 // This file holds the endpoint-level aggregate trackers: flow state
 // keyed by victim, initiator or transmitter identity rather than by
 // 5-tuple, serving the detection modules their traffic statistics in
-// O(1) per packet. Trackers are acquired from a Table's registry
+// O(1) per packet. Trackers are acquired only from a Table's registry
 // (deduplicated by configuration and reference-counted, so e.g. the
 // ICMP-flood and Smurf modules share one victim window updated once per
-// packet; see Trackers), or created standalone
-// for direct-construction unit tests. All pruning runs on capture
-// timestamps (simclock discipline).
+// packet; see Trackers). All pruning runs on capture timestamps
+// (simclock discipline).
 
 // KindMask is a bitmask over packet.Kind values (the kind space is
 // small and stable; see packet.Kind).
@@ -78,9 +77,8 @@ type gateID struct {
 	victim packet.NodeID
 }
 
-// NewVictimWindow creates a standalone victim window (not attached to a
-// table); the owner calls Observe itself.
-func NewVictimWindow(mask KindMask, window time.Duration) *VictimWindow {
+// newVictimWindow creates a victim window for the registry.
+func newVictimWindow(mask KindMask, window time.Duration) *VictimWindow {
 	return &VictimWindow{
 		mask:     mask,
 		window:   window,
@@ -97,11 +95,8 @@ func (t *Table) VictimWindow(mask KindMask, window time.Duration) *VictimWindow 
 }
 
 // Release returns the handle; the last release detaches the tracker
-// from its registry (standalone windows ignore Release).
+// from its registry.
 func (w *VictimWindow) Release() {
-	if w.reg == nil {
-		return
-	}
 	r := w.reg
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -230,8 +225,8 @@ type hsKey struct {
 	src, dst packet.NodeID
 }
 
-// NewTCPHandshakes creates a standalone handshake tracker.
-func NewTCPHandshakes(window time.Duration) *TCPHandshakes {
+// newTCPHandshakes creates a handshake tracker for the registry.
+func newTCPHandshakes(window time.Duration) *TCPHandshakes {
 	return &TCPHandshakes{
 		window:  window,
 		pending: make(map[hsKey]bool),
@@ -247,9 +242,6 @@ func (t *Table) Handshakes(window time.Duration) *TCPHandshakes {
 
 // Release returns the handle (see VictimWindow.Release).
 func (h *TCPHandshakes) Release() {
-	if h.reg == nil {
-		return
-	}
 	r := h.reg
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -344,8 +336,8 @@ type identStat struct {
 	firstSeen time.Time
 }
 
-// NewIdentityStats creates a standalone identity tracker.
-func NewIdentityStats(alpha float64, medium packet.Medium) *IdentityStats {
+// newIdentityStats creates an identity tracker for the registry.
+func newIdentityStats(alpha float64, medium packet.Medium) *IdentityStats {
 	return &IdentityStats{
 		alpha:  alpha,
 		medium: medium,
@@ -361,9 +353,6 @@ func (t *Table) IdentityStats(alpha float64, medium packet.Medium) *IdentityStat
 
 // Release returns the handle (see VictimWindow.Release).
 func (s *IdentityStats) Release() {
-	if s.reg == nil {
-		return
-	}
 	r := s.reg
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -478,8 +467,8 @@ type MotionSnapshot struct {
 	LastJump, LastFlip time.Time
 }
 
-// NewIdentityMotion creates a standalone motion tracker.
-func NewIdentityMotion(cfg MotionConfig) *IdentityMotion {
+// newIdentityMotion creates a motion tracker for the registry.
+func newIdentityMotion(cfg MotionConfig) *IdentityMotion {
 	return &IdentityMotion{cfg: cfg, tracks: make(map[packet.NodeID]*motionTrack)}
 }
 
@@ -492,9 +481,6 @@ func (t *Table) Motion(cfg MotionConfig) *IdentityMotion {
 
 // Release returns the handle (see VictimWindow.Release).
 func (m *IdentityMotion) Release() {
-	if m.reg == nil {
-		return
-	}
 	r := m.reg
 	r.mu.Lock()
 	defer r.mu.Unlock()

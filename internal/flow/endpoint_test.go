@@ -24,7 +24,7 @@ func idCap(id packet.NodeID, rssi float64, at time.Time) *packet.Captured {
 }
 
 func TestVictimWindowMaskAndPrune(t *testing.T) {
-	w := NewVictimWindow(MaskOf(packet.KindICMPEchoReply), 5*time.Second)
+	w := NewTable(Config{}).VictimWindow(MaskOf(packet.KindICMPEchoReply), 5*time.Second)
 
 	// Non-matching kinds never enter the window.
 	w.Observe(&packet.Captured{Kind: packet.KindICMPEchoRequest, Dst: "v", Time: t0})
@@ -55,12 +55,11 @@ func TestVictimWindowMaskAndPrune(t *testing.T) {
 	if w.Len("other", t0.Add(7*time.Second)) != 0 {
 		t.Error("window leaked across destinations")
 	}
-	// Standalone trackers ignore Release.
 	w.Release()
 }
 
 func TestTCPHandshakeCompletions(t *testing.T) {
-	h := NewTCPHandshakes(10 * time.Second)
+	h := NewTable(Config{}).Handshakes(10 * time.Second)
 	cli := netip.MustParseAddr("10.0.0.1")
 	srv := netip.MustParseAddr("10.0.0.2")
 	pkt := func(raw []byte, at time.Time) *packet.Captured {
@@ -106,7 +105,7 @@ func TestIdentityStatsCluster(t *testing.T) {
 		minFrames = 3
 		warmup    = 10 * time.Second
 	)
-	s := NewIdentityStats(0.3, packet.MediumIEEE802154)
+	s := NewTable(Config{}).IdentityStats(0.3, packet.MediumIEEE802154)
 
 	// Pre-existing identity: present from the tracker's first packet.
 	for i := 0; i < minFrames; i++ {
@@ -155,7 +154,7 @@ func TestIdentityStatsCluster(t *testing.T) {
 }
 
 func TestIdentityMotionJumps(t *testing.T) {
-	m := NewIdentityMotion(MotionConfig{
+	m := NewTable(Config{}).Motion(MotionConfig{
 		Medium:     packet.MediumIEEE802154,
 		Threshold:  10,
 		Window:     30 * time.Second,
@@ -191,7 +190,7 @@ func TestIdentityMotionJumps(t *testing.T) {
 }
 
 func TestIdentityMotionFlips(t *testing.T) {
-	m := NewIdentityMotion(MotionConfig{
+	m := NewTable(Config{}).Motion(MotionConfig{
 		Medium:     packet.MediumIEEE802154,
 		Threshold:  10,
 		Window:     30 * time.Second,
@@ -239,7 +238,7 @@ func TestIdentityMotionFlips(t *testing.T) {
 }
 
 func TestTrackerDedupAndRelease(t *testing.T) {
-	tbl := NewTable(Config{Features: []string{}})
+	tbl := NewTable(Config{})
 	mask := MaskOf(packet.KindICMPEchoReply)
 
 	w1 := tbl.VictimWindow(mask, 5*time.Second)

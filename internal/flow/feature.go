@@ -2,8 +2,6 @@ package flow
 
 import (
 	"math"
-	"sort"
-	"sync"
 
 	"kalis/internal/packet"
 	"kalis/internal/proto/ctp"
@@ -17,50 +15,7 @@ type Value struct {
 	V float64
 }
 
-// State is one per-flow feature state machine. Update is called once
-// per packet, before the table advances the flow's Last/Packets/Bytes
-// counters (see Flow); Emit appends the feature's final values when the
-// flow is exported. Implementations must do O(1) work per packet and
-// must not allocate on the steady-state update path.
-type State interface {
-	Update(f *Flow, c *packet.Captured)
-	Emit(f *Flow, out []Value) []Value
-}
-
-// Factory builds a fresh feature state for a new flow.
-type Factory func() State
-
-var (
-	regMu    sync.RWMutex
-	registry = make(map[string]Factory)
-)
-
-// Register adds a feature under the given name. Registration happens at
-// init time; re-registering a name replaces the factory.
-func Register(name string, f Factory) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	registry[name] = f
-}
-
-// Features returns the registered feature names, sorted.
-func Features() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// DefaultFeatures is the feature set a zero Config selects.
-func DefaultFeatures() []string {
-	return []string{"rate", "iat", "rssi", "thl", "etx"}
-}
-
-// Export names are concatenated once here, not per Emit: flows export
+// Export names are concatenated once here, not per emit: flows export
 // continuously under load, and per-export name building was a measurable
 // allocation source (hotalloc).
 var (
@@ -70,32 +25,60 @@ var (
 	etxNames  = makeRangeNames("etx")
 )
 
-func init() {
-	Register("rate", func() State { return rateFeature{} })
-	//lint:ignore hotalloc feature state is allocated once per new flow, amortized across the flow's packets
-	Register("iat", func() State { return &welfordFeature{names: iatNames, sample: sampleIAT} })
-	//lint:ignore hotalloc feature state is allocated once per new flow, amortized across the flow's packets
-	Register("rssi", func() State { return &welfordFeature{names: rssiNames, sample: sampleRSSI} })
-	//lint:ignore hotalloc feature state is allocated once per new flow, amortized across the flow's packets
-	Register("thl", func() State { return &ctpRangeFeature{names: thlNames, sample: sampleTHL} })
-	//lint:ignore hotalloc feature state is allocated once per new flow, amortized across the flow's packets
-	Register("etx", func() State { return &ctpRangeFeature{names: etxNames, sample: sampleETX} })
+// maxFeatureValues is the most values one record emits: the rate, two
+// Welford groups of four and two range groups of three.
+const maxFeatureValues = 1 + 2*4 + 2*3
+
+// features is the fixed per-flow feature set, held by value in every
+// Flow: mean packet rate, inter-arrival and RSSI statistics, and the
+// ranges of the CTP time-has-lived and path-cost (ETX) fields that
+// betray routing manipulation. update does O(1) work per packet and
+// never allocates.
+type features struct {
+	iat, rssi welford
+	thl, etx  valueRange
 }
 
-// rateFeature emits the flow's mean packet rate. It carries no state:
-// everything it needs lives in the flow's core counters, so Update is
-// free and the rate is exact at export time.
-type rateFeature struct{}
+// update folds one packet into the features. It runs before the table
+// advances the flow's Last/Packets/Bytes counters (see Flow), so the
+// first packet (Packets == 0) has no inter-arrival time.
+func (ft *features) update(f *Flow, c *packet.Captured) {
+	if f.Packets > 0 {
+		ft.iat.add(c.Time.Sub(f.Last).Seconds())
+	}
+	// Wired captures carry no signal strength.
+	if c.Medium != packet.MediumWired {
+		ft.rssi.add(c.RSSI)
+	}
+	// One pass over the layer stack finds the CTP header: data frames
+	// carry both THL and ETX, beacons only ETX.
+	for _, l := range c.Layers {
+		switch h := l.(type) {
+		case *ctp.Data:
+			ft.thl.add(float64(h.THL))
+			ft.etx.add(float64(h.ETX))
+			return
+		case *ctp.Beacon:
+			ft.etx.add(float64(h.ETX))
+			return
+		}
+	}
+}
 
-func (rateFeature) Update(*Flow, *packet.Captured) {}
-
-func (rateFeature) Emit(f *Flow, out []Value) []Value {
+// emit appends the final feature values in their fixed order: rate,
+// then the inter-arrival, RSSI, THL and ETX groups, each omitted when
+// it saw no sample.
+func (ft *features) emit(f *Flow, out []Value) []Value {
 	dur := f.Last.Sub(f.First).Seconds()
 	rate := 0.0
 	if dur > 0 && f.Packets > 1 {
 		rate = float64(f.Packets-1) / dur
 	}
-	return append(out, Value{Name: "rate_pps", V: rate})
+	out = append(out, Value{Name: "rate_pps", V: rate})
+	out = ft.iat.emit(iatNames, out)
+	out = ft.rssi.emit(rssiNames, out)
+	out = ft.thl.emit(thlNames, out)
+	return ft.etx.emit(etxNames, out)
 }
 
 // welford is numerically stable streaming mean/variance with min/max.
@@ -129,16 +112,20 @@ func (w *welford) stddev() float64 {
 	return math.Sqrt(w.m2 / float64(w.n-1))
 }
 
-// welfordFeature streams one scalar sample per packet through a Welford
-// accumulator and emits mean/stddev/min/max. The sample hook returns
-// false to skip a packet (e.g. the first packet has no inter-arrival).
-type welfordFeature struct {
-	names  welfordNames
-	sample func(f *Flow, c *packet.Captured) (float64, bool)
-	w      welford
+// emit appends mean/stddev/min/max, or nothing without samples.
+func (w *welford) emit(names welfordNames, out []Value) []Value {
+	if w.n == 0 {
+		return out
+	}
+	return append(out,
+		Value{Name: names.mean, V: w.mean},
+		Value{Name: names.stddev, V: w.stddev()},
+		Value{Name: names.min, V: w.min},
+		Value{Name: names.max, V: w.max},
+	)
 }
 
-// welfordNames are a welford feature's precomputed export names.
+// welfordNames are a Welford group's precomputed export names.
 type welfordNames struct {
 	mean, stddev, min, max string
 }
@@ -152,86 +139,43 @@ func makeWelfordNames(base string) welfordNames {
 	}
 }
 
-func (ft *welfordFeature) Update(f *Flow, c *packet.Captured) {
-	if x, ok := ft.sample(f, c); ok {
-		ft.w.add(x)
-	}
-}
-
-func (ft *welfordFeature) Emit(f *Flow, out []Value) []Value {
-	if ft.w.n == 0 {
-		return out
-	}
-	return append(out,
-		Value{Name: ft.names.mean, V: ft.w.mean},
-		Value{Name: ft.names.stddev, V: ft.w.stddev()},
-		Value{Name: ft.names.min, V: ft.w.min},
-		Value{Name: ft.names.max, V: ft.w.max},
-	)
-}
-
-// sampleIAT yields the inter-arrival time in seconds. During Update the
-// flow's Last still holds the previous packet's timestamp, so the first
-// packet (Packets == 0) is skipped.
-func sampleIAT(f *Flow, c *packet.Captured) (float64, bool) {
-	if f.Packets == 0 {
-		return 0, false
-	}
-	return c.Time.Sub(f.Last).Seconds(), true
-}
-
-// sampleRSSI yields the observed signal strength (skipped on wired
-// captures where RSSI carries no information).
-func sampleRSSI(f *Flow, c *packet.Captured) (float64, bool) {
-	if c.Medium == packet.MediumWired {
-		return 0, false
-	}
-	return c.RSSI, true
-}
-
-// ctpRangeFeature tracks first/last/min/max of a CTP header field and
-// emits the last value plus the range and total drift — the THL and ETX
-// deltas that betray routing manipulation.
-type ctpRangeFeature struct {
-	names    rangeNames
-	sample   func(c *packet.Captured) (float64, bool)
+// valueRange tracks first/last/min/max of a header field and emits the
+// last value plus the range and total drift.
+type valueRange struct {
 	seen     bool
 	first    float64
 	last     float64
 	min, max float64
 }
 
-func (ft *ctpRangeFeature) Update(f *Flow, c *packet.Captured) {
-	x, ok := ft.sample(c)
-	if !ok {
-		return
-	}
-	if !ft.seen {
-		ft.seen = true
-		ft.first, ft.min, ft.max = x, x, x
+func (r *valueRange) add(x float64) {
+	if !r.seen {
+		r.seen = true
+		r.first, r.min, r.max = x, x, x
 	} else {
-		if x < ft.min {
-			ft.min = x
+		if x < r.min {
+			r.min = x
 		}
-		if x > ft.max {
-			ft.max = x
+		if x > r.max {
+			r.max = x
 		}
 	}
-	ft.last = x
+	r.last = x
 }
 
-func (ft *ctpRangeFeature) Emit(f *Flow, out []Value) []Value {
-	if !ft.seen {
+// emit appends last/range/delta, or nothing without samples.
+func (r *valueRange) emit(names rangeNames, out []Value) []Value {
+	if !r.seen {
 		return out
 	}
 	return append(out,
-		Value{Name: ft.names.last, V: ft.last},
-		Value{Name: ft.names.rng, V: ft.max - ft.min},
-		Value{Name: ft.names.delta, V: ft.last - ft.first},
+		Value{Name: names.last, V: r.last},
+		Value{Name: names.rng, V: r.max - r.min},
+		Value{Name: names.delta, V: r.last - r.first},
 	)
 }
 
-// rangeNames are a range feature's precomputed export names.
+// rangeNames are a range group's precomputed export names.
 type rangeNames struct {
 	last, rng, delta string
 }
@@ -242,24 +186,4 @@ func makeRangeNames(base string) rangeNames {
 		rng:   base + "_range",
 		delta: base + "_delta",
 	}
-}
-
-// sampleTHL reads the CTP time-has-lived counter.
-func sampleTHL(c *packet.Captured) (float64, bool) {
-	if d, ok := c.Layer("ctp-data").(*ctp.Data); ok {
-		return float64(d.THL), true
-	}
-	return 0, false
-}
-
-// sampleETX reads the CTP path-cost estimate from data or beacon
-// frames.
-func sampleETX(c *packet.Captured) (float64, bool) {
-	if d, ok := c.Layer("ctp-data").(*ctp.Data); ok {
-		return float64(d.ETX), true
-	}
-	if b, ok := c.Layer("ctp-beacon").(*ctp.Beacon); ok {
-		return float64(b.ETX), true
-	}
-	return 0, false
 }

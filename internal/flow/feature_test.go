@@ -2,6 +2,7 @@ package flow
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -9,10 +10,9 @@ import (
 	"kalis/internal/proto/stack"
 )
 
-// featTable builds a table with the given feature set and a collector
-// for its exported records.
-func featTable(feats []string) (*Table, *[]Record) {
-	tbl := NewTable(Config{Features: feats})
+// featTable builds a table and a collector for its exported records.
+func featTable() (*Table, *[]Record) {
+	tbl := NewTable(Config{})
 	recs := collectRecords(tbl)
 	return tbl, recs
 }
@@ -53,7 +53,7 @@ func decodeCap(t *testing.T, medium packet.Medium, raw []byte, at time.Time, rss
 func approx(got, want float64) bool { return math.Abs(got-want) < 1e-9 }
 
 func TestRateFeature(t *testing.T) {
-	tbl, recs := featTable([]string{"rate"})
+	tbl, recs := featTable()
 	for _, d := range []time.Duration{0, time.Second, 2 * time.Second} {
 		tbl.Update(cap1("A", "B", t0.Add(d)))
 	}
@@ -79,7 +79,7 @@ func TestRateFeature(t *testing.T) {
 }
 
 func TestIATFeature(t *testing.T) {
-	tbl, recs := featTable([]string{"iat"})
+	tbl, recs := featTable()
 	// Inter-arrivals: 1s, 2s.
 	for _, d := range []time.Duration{0, time.Second, 3 * time.Second} {
 		tbl.Update(cap1("A", "B", t0.Add(d)))
@@ -101,7 +101,7 @@ func TestIATFeature(t *testing.T) {
 }
 
 func TestIATSkipsSinglePacketFlow(t *testing.T) {
-	tbl, recs := featTable([]string{"iat"})
+	tbl, recs := featTable()
 	tbl.Update(cap1("A", "B", t0))
 	tbl.Flush()
 	if hasFeat((*recs)[0], "iat_mean") {
@@ -110,7 +110,7 @@ func TestIATSkipsSinglePacketFlow(t *testing.T) {
 }
 
 func TestRSSIFeature(t *testing.T) {
-	tbl, recs := featTable([]string{"rssi"})
+	tbl, recs := featTable()
 	c := cap1("A", "B", t0)
 	c.RSSI = -60
 	tbl.Update(c)
@@ -143,7 +143,7 @@ func TestRSSIFeature(t *testing.T) {
 }
 
 func TestCTPRangeFeatures(t *testing.T) {
-	tbl, recs := featTable([]string{"thl", "etx"})
+	tbl, recs := featTable()
 	// One CTP data flow 3>2 whose THL and ETX drift over three frames.
 	frames := []struct {
 		thl uint8
@@ -175,7 +175,7 @@ func TestCTPRangeFeatures(t *testing.T) {
 }
 
 func TestETXFromBeacons(t *testing.T) {
-	tbl, recs := featTable([]string{"thl", "etx"})
+	tbl, recs := featTable()
 	for i, etx := range []uint16{20, 35} {
 		raw := stack.BuildCTPBeacon(4, 1, etx, uint8(i))
 		tbl.Update(decodeCap(t, packet.MediumIEEE802154, raw, t0.Add(time.Duration(i)*time.Second), -60))
@@ -191,35 +191,40 @@ func TestETXFromBeacons(t *testing.T) {
 	}
 }
 
-func TestFeatureSetSelection(t *testing.T) {
-	// Explicit empty (non-nil) feature list disables all features.
-	tbl, recs := featTable([]string{})
-	tbl.Update(cap1("A", "B", t0))
-	tbl.Update(cap1("A", "B", t0.Add(time.Second)))
+// TestFeatureSetFixed pins the record layout every flow exports:
+// rate_pps first, then each feature group in its fixed order, a group
+// present only when the flow carried a sample for it.
+func TestFeatureSetFixed(t *testing.T) {
+	tbl, recs := featTable()
+	for i := 0; i < 2; i++ {
+		raw := stack.BuildCTPData(3, 2, 3, uint8(i), 4, 10, []byte{0x01})
+		tbl.Update(decodeCap(t, packet.MediumIEEE802154, raw, t0.Add(time.Duration(i)*time.Second), -60))
+	}
+	w := cap1("W", "B", t0)
+	w.Medium = packet.MediumWired
+	tbl.Update(w)
 	tbl.Flush()
-	if n := len((*recs)[0].Features); n != 0 {
-		t.Errorf("empty feature set emitted %d values", n)
+	want := map[packet.NodeID][]string{
+		stack.ShortID(3): {
+			"rate_pps",
+			"iat_mean", "iat_stddev", "iat_min", "iat_max",
+			"rssi_mean", "rssi_stddev", "rssi_min", "rssi_max",
+			"thl_last", "thl_range", "thl_delta",
+			"etx_last", "etx_range", "etx_delta",
+		},
+		// One wired packet: no inter-arrival, no RSSI, no CTP header.
+		"W": {"rate_pps"},
 	}
-
-	// Nil selects the defaults, which include the rate feature.
-	tbl2 := NewTable(Config{})
-	recs2 := collectRecords(tbl2)
-	tbl2.Update(cap1("A", "B", t0))
-	tbl2.Update(cap1("A", "B", t0.Add(time.Second)))
-	tbl2.Flush()
-	if !hasFeat((*recs2)[0], "rate_pps") {
-		t.Error("default feature set missing rate_pps")
+	if len(*recs) != len(want) {
+		t.Fatalf("got %d records, want %d", len(*recs), len(want))
 	}
-
-	// Every default feature must actually be registered.
-	reg := Features()
-	have := make(map[string]bool, len(reg))
-	for _, name := range reg {
-		have[name] = true
-	}
-	for _, name := range DefaultFeatures() {
-		if !have[name] {
-			t.Errorf("default feature %q not registered", name)
+	for _, r := range *recs {
+		var names []string
+		for _, v := range r.Features {
+			names = append(names, v.Name)
+		}
+		if got, exp := strings.Join(names, ","), strings.Join(want[r.Key.Src], ","); got != exp {
+			t.Errorf("%s features = %s, want %s", r.Key.Src, got, exp)
 		}
 	}
 }

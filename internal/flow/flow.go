@@ -1,8 +1,8 @@
 // Package flow is Kalis' flow-centric feature pipeline: a bounded flow
-// table keyed by 5-tuple + medium whose per-flow features are small
-// state machines updated once per packet (in the spirit of CN-TU's
-// go-flows), plus endpoint-level aggregate trackers that serve the
-// detection modules their traffic statistics in O(1) per packet.
+// table keyed by 5-tuple + medium whose per-flow features (one fixed
+// set, see features) are updated once per packet in the spirit of
+// CN-TU's go-flows, plus endpoint-level aggregate trackers that serve
+// the detection modules their traffic statistics in O(1) per packet.
 //
 // The table lives on the virtual capture clock: every timeout (idle,
 // active) and every window prune takes its notion of "now" from packet
@@ -116,18 +116,18 @@ type Flow struct {
 	// Key is the flow's identity.
 	Key Key
 	// First and Last are the capture timestamps of the first and most
-	// recent packet. During a feature State.Update call, Last still
-	// holds the PREVIOUS packet's timestamp (so inter-arrival features
-	// can difference against it); the table advances it afterwards.
+	// recent packet. While the features update, Last still holds the
+	// PREVIOUS packet's timestamp (so the inter-arrival feature can
+	// difference against it); the table advances it afterwards.
 	First, Last time.Time
 	// Packets and Bytes count the flow's traffic. Like Last, they are
-	// pre-update values while features run (Packets == 0 on the flow's
-	// first packet).
+	// pre-update values while the features update (Packets == 0 on the
+	// flow's first packet).
 	Packets, Bytes uint64
 
-	// feats holds one State per configured feature, index-aligned with
-	// the table's feature names.
-	feats []State
+	// feat is the flow's feature state, held by value so a new flow
+	// costs one allocation.
+	feat features
 
 	// Intrusive LRU list links (head = most recently touched).
 	prev, next *Flow
@@ -177,7 +177,8 @@ type Record struct {
 	Packets, Bytes uint64
 	// Reason says why the flow was exported.
 	Reason ExpiryReason
-	// Features are the final feature emissions, in the table's
-	// configured feature order.
+	// Features are the final feature values, in their fixed order:
+	// rate_pps, then the iat_, rssi_, thl_ and etx_ groups, each group
+	// present only when the flow carried a sample for it.
 	Features []Value
 }

@@ -23,10 +23,6 @@ type Config struct {
 	// tail (on-touch expiry catches re-keyed flows; the sweep catches
 	// flows that simply went quiet). Default 256.
 	SweepEvery int
-	// Features names the per-flow features to run (see Register). Nil
-	// selects DefaultFeatures; an explicit empty, non-nil slice runs
-	// none. Unknown names are ignored.
-	Features []string
 }
 
 func (cfg Config) withDefaults() Config {
@@ -41,9 +37,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.SweepEvery <= 0 {
 		cfg.SweepEvery = 256
-	}
-	if cfg.Features == nil {
-		cfg.Features = DefaultFeatures()
 	}
 	return cfg
 }
@@ -71,11 +64,9 @@ type Tracker interface {
 
 // Table is the flow table: a bounded map of live flows with an
 // intrusive LRU list for eviction order, idle/active expiry on the
-// capture clock, and per-flow feature state machines.
+// capture clock, and per-flow features.
 type Table struct {
-	cfg      Config
-	featFns  []Factory
-	featured bool
+	cfg Config
 
 	mu      sync.Mutex
 	flows   map[Key]*Flow
@@ -102,21 +93,12 @@ type Table struct {
 // NewTable creates a flow table.
 func NewTable(cfg Config) *Table {
 	cfg = cfg.withDefaults()
-	t := &Table{
+	return &Table{
 		cfg:     cfg,
 		flows:   make(map[Key]*Flow),
 		toSweep: cfg.SweepEvery,
 		trk:     newTrackers(),
 	}
-	regMu.RLock()
-	for _, name := range cfg.Features {
-		if f, ok := registry[name]; ok {
-			t.featFns = append(t.featFns, f)
-		}
-	}
-	regMu.RUnlock()
-	t.featured = len(t.featFns) > 0
-	return t
 }
 
 // SetMetrics installs telemetry hooks. Call it before traffic flows.
@@ -152,10 +134,12 @@ func (t *Table) Stats() (expirations, evictions uint64) {
 }
 
 // Update folds one capture into the table: expiry on touch, flow
-// creation (with LRU eviction at capacity), one feature-state update
-// per configured feature, an amortized idle sweep, and finally one
-// Observe per registered endpoint tracker. The per-packet cost is O(1)
-// in the table size and independent of any window length.
+// creation (with LRU eviction at capacity), the flow's feature update,
+// an amortized idle sweep, and finally one Observe per acquired
+// endpoint tracker. The per-packet cost is O(1) in the table size and
+// independent of any window length. The Module Manager calls it once
+// per packet before module fan-out, so every tracker a module holds
+// already includes the packet the module is handling.
 func (t *Table) Update(c *packet.Captured) {
 	t.mu.Lock()
 	if c.Time.After(t.lastSeen) {
@@ -184,21 +168,13 @@ func (t *Table) Update(c *packet.Captured) {
 		}
 		//lint:ignore hotalloc one allocation per new flow, amortized across the flow's packets
 		f = &Flow{Key: k, First: c.Time, Last: c.Time}
-		if t.featured {
-			f.feats = make([]State, len(t.featFns))
-			for i, fn := range t.featFns {
-				f.feats[i] = fn()
-			}
-		}
 		t.flows[k] = f
 		t.pushFrontLocked(f)
 	} else if t.lruHead != f {
 		t.unlinkLocked(f)
 		t.pushFrontLocked(f)
 	}
-	for _, fs := range f.feats {
-		fs.Update(f, c)
-	}
+	f.feat.update(f, c)
 	f.Last = c.Time
 	f.Packets++
 	f.Bytes += uint64(len(c.Payload))
@@ -269,22 +245,15 @@ func (t *Table) removeLocked(f *Flow, reason ExpiryReason) Record {
 		t.expirations++
 		t.met.Expirations.Inc()
 	}
-	r := Record{
-		Key:     f.Key,
-		First:   f.First,
-		Last:    f.Last,
-		Packets: f.Packets,
-		Bytes:   f.Bytes,
-		Reason:  reason,
+	return Record{
+		Key:      f.Key,
+		First:    f.First,
+		Last:     f.Last,
+		Packets:  f.Packets,
+		Bytes:    f.Bytes,
+		Reason:   reason,
+		Features: f.feat.emit(f, make([]Value, 0, maxFeatureValues)),
 	}
-	if len(f.feats) > 0 {
-		out := make([]Value, 0, 4*len(f.feats))
-		for _, fs := range f.feats {
-			out = fs.Emit(f, out)
-		}
-		r.Features = out
-	}
-	return r
 }
 
 func (t *Table) pushFrontLocked(f *Flow) {

@@ -286,3 +286,20 @@ func TestChurnRace(t *testing.T) {
 		t.Errorf("live flows after flush = %d, want 0", tbl.Len())
 	}
 }
+
+// TestNewFlowAllocatesOnce pins the cost of flow creation: the feature
+// state lives inside the Flow, so a new flow is one allocation (map
+// growth amortizes to nothing over many flows).
+func TestNewFlowAllocatesOnce(t *testing.T) {
+	const n = 10000
+	caps := make([]*packet.Captured, n)
+	for i := range caps {
+		caps[i] = &packet.Captured{Time: t0, Medium: packet.MediumIEEE802154, Kind: packet.KindCTPData,
+			Src: packet.NodeID(fmt.Sprintf("n%d", i)), Dst: "sink", RSSI: -60}
+	}
+	tbl := NewTable(Config{MaxFlows: 2 * n, IdleTimeout: time.Hour, ActiveTimeout: time.Hour, SweepEvery: 1 << 30})
+	i := 0
+	if a := testing.AllocsPerRun(n-1, func() { tbl.Update(caps[i]); i++ }); a > 1 {
+		t.Errorf("new flow costs %v allocations, want 1", a)
+	}
+}

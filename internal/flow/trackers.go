@@ -71,7 +71,7 @@ func (r *Trackers) VictimWindow(mask KindMask, window time.Duration) *VictimWind
 	k := victimKey{mask: mask, window: window}
 	w := r.victims[k]
 	if w == nil {
-		w = NewVictimWindow(mask, window)
+		w = newVictimWindow(mask, window)
 		w.reg, w.vkey = r, k
 		r.victims[k] = w
 		r.addLocked(w)
@@ -87,7 +87,7 @@ func (r *Trackers) Handshakes(window time.Duration) *TCPHandshakes {
 	defer r.mu.Unlock()
 	h := r.handshakes[window]
 	if h == nil {
-		h = NewTCPHandshakes(window)
+		h = newTCPHandshakes(window)
 		h.reg = r
 		r.handshakes[window] = h
 		r.addLocked(h)
@@ -104,7 +104,7 @@ func (r *Trackers) IdentityStats(alpha float64, medium packet.Medium) *IdentityS
 	k := identityKey{alpha: alpha, medium: medium}
 	s := r.identities[k]
 	if s == nil {
-		s = NewIdentityStats(alpha, medium)
+		s = newIdentityStats(alpha, medium)
 		s.reg, s.ikey = r, k
 		r.identities[k] = s
 		r.addLocked(s)
@@ -121,7 +121,7 @@ func (r *Trackers) Motion(cfg MotionConfig) *IdentityMotion {
 	defer r.mu.Unlock()
 	m := r.motions[cfg]
 	if m == nil {
-		m = NewIdentityMotion(cfg)
+		m = newIdentityMotion(cfg)
 		m.reg = r
 		r.motions[cfg] = m
 		r.addLocked(m)

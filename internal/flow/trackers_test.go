@@ -13,8 +13,8 @@ import (
 // TestPrivateTrackersByDefault: every table owns its registry, so two
 // tables never share a tracker.
 func TestPrivateTrackersByDefault(t *testing.T) {
-	tblA := NewTable(Config{Features: []string{}})
-	tblB := NewTable(Config{Features: []string{}})
+	tblA := NewTable(Config{})
+	tblB := NewTable(Config{})
 	mask := MaskOf(packet.KindICMPEchoReply)
 	wA := tblA.VictimWindow(mask, 5*time.Second)
 	wB := tblB.VictimWindow(mask, 5*time.Second)
@@ -30,7 +30,7 @@ func TestPrivateTrackersByDefault(t *testing.T) {
 // must neither show up in an earlier window nor destroy the earlier
 // events — the earlier threshold probe still has to fire.
 func TestVictimWindowShardSkew(t *testing.T) {
-	w := NewVictimWindow(MaskOf(packet.KindTCPSYN), 5*time.Second)
+	w := NewTable(Config{}).VictimWindow(MaskOf(packet.KindTCPSYN), 5*time.Second)
 	mk := func(src packet.NodeID, at time.Time) *packet.Captured {
 		return &packet.Captured{Kind: packet.KindTCPSYN, Src: src, Dst: "v", Time: at}
 	}
@@ -61,7 +61,7 @@ func TestVictimWindowShardSkew(t *testing.T) {
 // TestHandshakeShardSkew: completion counts are likewise read-side
 // windowed against sorted storage.
 func TestHandshakeShardSkew(t *testing.T) {
-	hs := NewTCPHandshakes(5 * time.Second)
+	hs := NewTable(Config{}).Handshakes(5 * time.Second)
 	srv := netip.MustParseAddr("10.0.0.99")
 	hshake := func(cli netip.Addr, at time.Time) {
 		syn, err := stack.Decode(packet.MediumWired, stack.BuildTCP(cli, srv, 10000, 443, tcp.FlagSYN, 1, 0, 1, nil))

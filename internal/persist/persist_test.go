@@ -69,7 +69,7 @@ func TestWarmRestart(t *testing.T) {
 	kb.Put("Multihop", "true")
 	kb.PutEntity("SignalStrength", "Sensor@A", "-67") // separator in entity
 	kb.PutStatic("Mobility", "", "false")
-	kb.AcceptRemote("K2", knowledge.Knowgget{Label: "Y", Value: "2", Creator: "K2", Collective: true})
+	kb.AcceptGossip("K2", knowledge.Knowgget{Label: "Y", Value: "2", Creator: "K2", Collective: true, Version: 1})
 	for _, c := range sampleCaptures(t) {
 		if err := store.Append(c); err != nil {
 			t.Fatalf("Append: %v", err)

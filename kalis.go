@@ -149,8 +149,8 @@ type Node struct {
 }
 
 // New builds a Kalis node. By default it is knowledge-driven, installs
-// the full built-in module library (three sensing modules and twelve
-// detection modules), and delivers events synchronously.
+// the full built-in module library (three sensing modules and
+// thirteen detection modules), and delivers events synchronously.
 func New(opts ...Option) (*Node, error) {
 	cfg := core.Config{
 		NodeID:          "K1",
@@ -207,13 +207,18 @@ func (n *Node) ModuleHealth() map[string]string { return n.inner.ModuleHealth() 
 func (n *Node) Knowledge() []Knowgget { return n.inner.KB().Snapshot() }
 
 // PutKnowledge stores an a-priori knowgget, as a configuration file's
-// knowggets section would.
+// knowggets section would. It is safe to call while another goroutine
+// feeds HandleCapture: the modules it activates or deactivates change
+// state only between packets. It must not be called from inside an
+// OnAlert, OnKnowledge or OnFlowRecord callback, which would deadlock.
 func (n *Node) PutKnowledge(label, entity, value string) {
-	n.inner.KB().PutStatic(label, entity, value)
+	n.inner.PutKnowledge(label, entity, value)
 }
 
 // InstallModule instantiates a module from the registry by name and
-// installs it with the given parameters.
+// installs it with the given parameters. Like PutKnowledge, it is
+// serialized with packet dispatch and must not be called from inside
+// an OnAlert, OnKnowledge or OnFlowRecord callback.
 func (n *Node) InstallModule(name string, params map[string]string) error {
 	return n.inner.Install(name, params)
 }

@@ -5,6 +5,8 @@ package kalis
 
 import (
 	"bytes"
+	"net/netip"
+	"strconv"
 	"testing"
 	"time"
 
@@ -12,6 +14,7 @@ import (
 	"kalis/internal/core/module"
 	"kalis/internal/netsim"
 	"kalis/internal/packet"
+	"kalis/internal/proto/icmp"
 	"kalis/internal/proto/stack"
 )
 
@@ -236,5 +239,50 @@ func TestFacadeFirewall(t *testing.T) {
 		stack.BuildCTPData(2, 1, 2, 99, 0, 10, []byte{0x01, 99}), tEpoch.Add(time.Hour), -60)
 	if fw.Filter(suspectFrame) != FirewallDrop {
 		t.Error("suspect frame passed the firewall")
+	}
+}
+
+// TestPutKnowledgeDuringDispatch flips a-priori knowledge from one
+// goroutine while another replays WiFi echo replies. Each flip runs
+// Knowledge Base subscribers, which activate and deactivate modules on
+// the writer's goroutine (Smurf follows Multihop; topology discovery
+// stops once Multihop is pinned); under -race this fails unless
+// PutKnowledge is serialized with packet dispatch. The overlap is a
+// matter of scheduling, so several fresh nodes each get a round.
+func TestPutKnowledgeDuringDispatch(t *testing.T) {
+	victim := netip.MustParseAddr("192.168.1.10")
+	caps := make([]*Captured, 400)
+	for i := range caps {
+		src := netip.AddrFrom4([4]byte{192, 168, 1, byte(20 + i%8)})
+		raw := stack.BuildICMPEcho(src, victim, icmp.TypeEchoReply, 1, uint16(i), 64)
+		caps[i] = capOf(t, packet.MediumWiFi, raw, tEpoch.Add(time.Duration(i)*10*time.Millisecond), -60)
+	}
+	for round := 0; round < 10; round++ {
+		node, err := New()
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for _, c := range caps {
+				node.HandleCapture(c)
+			}
+		}()
+		flips := 0
+		for running := true; running; flips++ {
+			select {
+			case <-done:
+				running = false
+			default:
+			}
+			node.PutKnowledge(knowledge.LabelMultihop, "", strconv.FormatBool(flips%2 == 0))
+		}
+		if err := node.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if flips < 2 {
+			t.Fatalf("round %d: no knowledge flip overlapped dispatch", round)
+		}
 	}
 }
